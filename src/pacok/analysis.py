@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, NoCrossingError
-from .grid import Field
+from .grid import Field, translate
 
 # exponent window of the energy-to-mass fit; covers the orders 1/2, 1, 2
 # arising from rim penalties, liposome curvature and 2-D curvature
@@ -173,20 +173,7 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
                 lo, f_lo = mid, f_mid
         shifts.append(0.5 * (lo + hi) % length)
 
-    spectrum = np.fft.rfftn(w.values)
-    for axis in range(grid.dim):
-        n = grid.points[axis]
-        spacing = grid.spacing[axis]
-        array_axis = grid.dim - 1 - axis
-        if axis == 0:
-            k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-        shape = [1] * grid.dim
-        shape[array_axis] = k.size
-        spectrum = spectrum * np.exp(1j * k.reshape(shape) * shifts[axis])
-    shifted = np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim)))
-    return tuple(shifts), Field(grid, shifted)
+    return tuple(shifts), translate(w, shifts)
 
 
 def dipole_moment(w: Field) -> np.ndarray:

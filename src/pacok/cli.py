@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, dynamics, initcond, radial, storage
 from .energy import interpolant_pair, total_energy
 from .errors import CorruptCheckpointError, DivergenceError, PacokError
-from .grid import Field, integrate_array
+from .grid import Field, integrate_array, translate
 
 
 def _fmt(x: float) -> str:
@@ -253,29 +253,13 @@ def _cmd_dipole(args) -> int:
     w = Field(w.grid, w.values - w.values.mean())
     shift, _ = analysis.zero_dipole_shift(w)
     # apply the same translation to both phases
-    shifted_u = _translate(state.u, shift)
-    shifted_v = _translate(state.v, shift)
+    shifted_u = translate(state.u, shift)
+    shifted_v = translate(state.v, shift)
     moved = dynamics.RunState(u=shifted_u, v=shifted_v, time=state.time, step=state.step)
     storage.write_checkpoint(args.out, moved)
     print("shift " + " ".join(_fmt(t) for t in shift))
     print(f"wrote {args.out}")
     return 0
-
-
-def _translate(field: Field, shift) -> Field:
-    grid = field.grid
-    spectrum = np.fft.rfftn(field.values)
-    for axis in range(grid.dim):
-        n = grid.points[axis]
-        spacing = grid.spacing[axis]
-        if axis == 0:
-            k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-        shape = [1] * grid.dim
-        shape[grid.dim - 1 - axis] = k.size
-        spectrum = spectrum * np.exp(1j * k.reshape(shape) * shift[axis])
-    return Field(grid, np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim))))
 
 
 def main(argv=None) -> int:

@@ -4,48 +4,40 @@ The flow is du/dt = -L1 dE/du, dv/dt = -L2 dE/dv (pACOK dynamics). The well
 splits as W = W1 + W2 with the convex quadratic W1 = 87u^2/2 + 27uv + 27v^2;
 diffusion and the diagonal pieces (87/eps)u, (54/eps)v of grad W1 are implicit,
 everything else (cross terms, grad W2, nonlocal coupling, mass penalties) is
-explicit at the old state. Each Fourier mode then updates by a scalar division:
+the explicit force (F_u, F_v) of :class:`~pacok.energy.ExplicitForce` at the
+old state. Each Fourier mode then updates by a scalar division:
 
-    u+ = (u - dt*L1*Fu_exp)^ / (1 + dt*L1*(eps|k|^2 + 87/eps))
-    v+ = (v - dt*L2*Fv_exp)^ / (1 + dt*L2*(2*v_reg|k|^2 + 54/eps))
+    u+ = (u - dt*L1*F_u)^ / (1 + dt*L1*(eps|k|^2 + 87/eps))
+    v+ = (v - dt*L2*F_v)^ / (1 + dt*L2*(2*v_reg|k|^2 + 54/eps))
 
 Fixed points of the update are exactly the zeros of both variational
-derivatives, and for the linearized problem the amplification factor has
-magnitude <= 1 for every mode and every dt (27^2 <= 87*54).
+derivatives. Stability for every dt holds only for the linearized scheme,
+with W2, the nonlocal coupling and the mass penalties switched off: there
+the amplification matrix (:func:`amplification_matrix`) has spectral radius
+<= 1 for every mode because 27^2 <= 87*54. The full scheme has no such
+guarantee; with the explicit mass penalties a large dt can raise the energy
+or diverge, which :func:`run` reports as :class:`DivergenceError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import (
+    SPLIT,
     EnergyBreakdown,
+    ExplicitForce,
     PhysParams,
-    interpolant_pair,
+    SplitConstants,  # noqa: F401  (re-exported: the split belongs to the scheme)
     nonlocal_term,
     potential_W,
-    potential_W_grad,
     total_energy,
 )
 from .errors import DivergenceError
-from .grid import Field, _k_squared, integrate_array, require_same_grid
-
-
-@dataclass(frozen=True)
-class SplitConstants:
-    """Coefficients of grad W1 for W1 = a_uu u^2/2 + a_uv uv + (a_vv/2) v^2."""
-
-    a_uu: float = 87.0
-    a_uv: float = 27.0
-    a_vv: float = 54.0
-
-    def hessian(self) -> np.ndarray:
-        return np.array([[self.a_uu, self.a_uv], [self.a_uv, self.a_vv]])
-
-
-SPLIT = SplitConstants()
+from .grid import Field, _k_squared, require_same_grid
 
 
 def split_W(u, v):
@@ -103,52 +95,72 @@ class RunResult:
 
 
 class _Stepper:
-    """Precomputed per-run arrays; one update in array land."""
+    """One convex-splitting update on a fixed workspace.
+
+    The workspace is allocated once per run: the force kernel's four field
+    buffers and its half-spectrum buffer, plus the spectral factors 1/den_u
+    and 1/den_v. A step costs six FFTs: the Poisson solve inside the force
+    (rfftn + irfftn), then one rfftn of u - dt*L1*F_u and one of
+    v - dt*L2*F_v, each multiplied in place by its 1/den and brought back by
+    one irfftn. Given output buffers, a step allocates no field-sized array
+    of its own; between steps the force's ``work`` buffers are free scratch.
+    """
 
     def __init__(self, grid, params: PhysParams, cfg: StepperConfig):
         self.grid = grid
-        self.params = params
-        self.cfg = cfg
+        self.force = ExplicitForce(grid, params)
         k2 = _k_squared(grid)
         eps = params.epsilon
-        self.den_u = 1.0 + cfg.dt * cfg.L1 * (eps * k2 + SPLIT.a_uu / eps)
-        self.den_v = 1.0 + cfg.dt * cfg.L2 * (2.0 * params.v_reg * k2 + SPLIT.a_vv / eps)
-        self.f, self.fp = interpolant_pair(params)
-        self.k2 = k2
-        self.axes = tuple(range(grid.dim))
+        self.lam_u = cfg.dt * cfg.L1
+        self.lam_v = cfg.dt * cfg.L2
+        self.inv_den_u = 1.0 / (1.0 + self.lam_u * (eps * k2 + SPLIT.a_uu / eps))
+        self.inv_den_v = 1.0 / (
+            1.0 + self.lam_v * (2.0 * params.v_reg * k2 + SPLIT.a_vv / eps)
+        )
 
-    def advance(self, u: np.ndarray, v: np.ndarray):
-        """One step on raw arrays; returns (u+, v+, phi)."""
-        p, cfg = self.params, self.cfg
-        eps = p.epsilon
-        f, fp = self.f, self.fp
-        fu, fv = f(u), f(v)
-        w_hat = np.fft.rfftn(fu - fv / p.zeta)
-        phi_hat = np.zeros_like(w_hat)
-        np.divide(w_hat, self.k2, out=phi_hat, where=self.k2 > 0)
-        phi = np.fft.irfftn(phi_hat, s=self.grid.shape, axes=self.axes)
+    def advance(self, u: np.ndarray, v: np.ndarray, out_u=None, out_v=None):
+        """One step from (u, v); returns (u+, v+).
 
-        mass_u = integrate_array(self.grid, fu)
-        mass_v = integrate_array(self.grid, fv)
-        w_u, w_v = potential_W_grad(u, v)
-        force_u = (w_u - SPLIT.a_uu * u) / eps + (
-            p.gamma * phi - p.K1 * (p.mass - mass_u)
-        ) * fp(u)
-        force_v = (w_v - SPLIT.a_vv * v) / eps - (
-            p.gamma / p.zeta * phi + p.K2 * (p.zeta * p.mass - mass_v)
-        ) * fp(v)
+        u+ and v+ are written into ``out_u``/``out_v`` (which must not alias
+        u, v or the workspace), or into fresh arrays when those are omitted.
+        """
+        if out_u is None:
+            out_u = np.empty(self.grid.shape)
+        if out_v is None:
+            out_v = np.empty(self.grid.shape)
+        self.force(u, v, out_u, out_v)
+        spec = self.force.spec
+        for z, out, lam, inv_den in ((u, out_u, self.lam_u, self.inv_den_u),
+                                     (v, out_v, self.lam_v, self.inv_den_v)):
+            out *= -lam
+            out += z
+            np.fft.rfftn(out, out=spec)
+            spec *= inv_den
+            np.fft.irfftn(spec, s=self.grid.shape, axes=self.force.axes, out=out)
+        return out_u, out_v
 
-        u_hat = (np.fft.rfftn(u) - cfg.dt * cfg.L1 * np.fft.rfftn(force_u)) / self.den_u
-        v_hat = (np.fft.rfftn(v) - cfg.dt * cfg.L2 * np.fft.rfftn(force_v)) / self.den_v
-        u_new = np.fft.irfftn(u_hat, s=self.grid.shape, axes=self.axes)
-        v_new = np.fft.irfftn(v_hat, s=self.grid.shape, axes=self.axes)
-        return u_new, v_new, phi
+
+def _max_change(new: np.ndarray, old: np.ndarray, work: np.ndarray) -> float:
+    """max|new - old| through ``work``; NaN or inf when either holds one."""
+    np.subtract(new, old, out=work)
+    np.abs(work, out=work)
+    return float(work.max())
+
+
+def _with_energy(state: RunState, params: PhysParams) -> RunState:
+    """``state`` with ``last_energy`` set; a non-finite energy is divergence."""
+    try:
+        energy = total_energy(state.u, state.v, params)
+    except OverflowError:
+        raise DivergenceError(state.step, f"energy overflowed at step {state.step}") from None
+    if not math.isfinite(energy.total):
+        raise DivergenceError(state.step, f"non-finite energy at step {state.step}")
+    return replace(state, last_energy=energy)
 
 
 def step(state: RunState, params: PhysParams, cfg: StepperConfig) -> RunState:
     """One update of (u, v); raises DivergenceError on non-finite output."""
-    stepper = _Stepper(state.u.grid, params, cfg)
-    u_new, v_new, _ = stepper.advance(state.u.values, state.v.values)
+    u_new, v_new = _Stepper(state.u.grid, params, cfg).advance(state.u.values, state.v.values)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise DivergenceError(state.step + 1)
     grid = state.u.grid
@@ -173,10 +185,16 @@ def run(
     A non-finite stop_tol disables the stationarity check, so the loop runs
     for exactly max_steps. Callbacks fire at their cadence (step 0 included)
     and once more on the final state; ``on_trace(state, residual)`` receives
-    the state with ``last_energy`` refreshed.
+    the state with ``last_energy`` refreshed. States handed to callbacks and
+    the final state own their arrays. DivergenceError is raised when a step
+    produces a non-finite sample or an energy at trace or final cadence
+    overflows or is not finite.
     """
     grid = state.u.grid
     stepper = _Stepper(grid, params, cfg)
+    # u+ and v+ alternate between two buffer pairs; the input is only read
+    pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
+    work = stepper.force.work[0]
     u, v = state.u.values, state.v.values
     start_time, start_step = state.time, state.step
     check_stationary = np.isfinite(cfg.stop_tol)
@@ -185,19 +203,21 @@ def run(
     nstep = start_step
     last_traced = last_checked = -1
 
+    def _snapshot():
+        return RunState(Field(grid, u.copy()), Field(grid, v.copy()), time, nstep)
+
     def _emit(res, force=False):
         nonlocal last_traced, last_checked
         must_trace = on_trace and (nstep % cfg.trace_every == 0 or force)
         must_ckpt = on_checkpoint and (nstep % cfg.checkpoint_every == 0 or force)
         current = None
         if must_trace and last_traced != nstep:
-            current = RunState(Field(grid, u), Field(grid, v), time, nstep)
-            current = replace(current, last_energy=total_energy(current.u, current.v, params))
+            current = _with_energy(_snapshot(), params)
             on_trace(current, res)
             last_traced = nstep
         if must_ckpt and last_checked != nstep:
             if current is None:
-                current = RunState(Field(grid, u), Field(grid, v), time, nstep)
+                current = _snapshot()
             on_checkpoint(current)
             last_checked = nstep
 
@@ -205,12 +225,12 @@ def run(
     _emit(np.nan)
     done = 0
     while done < cfg.max_steps:
-        u_new, v_new, _ = stepper.advance(u, v)
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        u_new, v_new = stepper.advance(u, v, *pairs[done % 2])
+        change_u = _max_change(u_new, u, work)
+        change_v = _max_change(v_new, v, work)
+        if not (math.isfinite(change_u) and math.isfinite(change_v)):
             raise DivergenceError(nstep + 1)
-        residual = max(
-            float(np.max(np.abs(u_new - u))), float(np.max(np.abs(v_new - v)))
-        ) / cfg.dt
+        residual = max(change_u, change_v) / cfg.dt
         u, v = u_new, v_new
         done += 1
         nstep = start_step + done
@@ -221,8 +241,7 @@ def run(
         _emit(residual)
 
     _emit(residual, force=True)
-    final = RunState(Field(grid, u), Field(grid, v), time, nstep)
-    final = replace(final, last_energy=total_energy(final.u, final.v, params))
+    final = _with_energy(_snapshot(), params)
     return RunResult(state=final, reason=reason, residual=float(residual))
 
 
@@ -253,8 +272,9 @@ def amplification_matrix(
 ) -> np.ndarray:
     """Mode update matrix of the linearized scheme (W2, nonlocal, penalties off).
 
-    Used to assert unconditional stability: spectral radius <= 1 for every
-    mode and every dt, which holds because a_uv^2 <= a_uu*a_vv.
+    Used to assert the linearized scheme's stability: spectral radius <= 1
+    for every mode and every dt, which holds because a_uv^2 <= a_uu*a_vv.
+    It says nothing about the full scheme's explicit terms.
     """
     eps = params.epsilon
     den_u = 1.0 + dt * cfg.L1 * (eps * k2 + SPLIT.a_uu / eps)

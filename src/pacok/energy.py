@@ -22,10 +22,13 @@ import numpy as np
 
 from .grid import (
     Field,
+    GridSpec,
+    _all_axes,
+    _inv_k_squared,
     dirichlet_energy_array,
     integrate_array,
     laplacian_array,
-    poisson_solve_array,
+    parseval_sum,
     require_same_grid,
 )
 
@@ -63,6 +66,26 @@ class PhysParams:
             raise ValueError("v_reg must be nonnegative")
         if self.interpolant not in ("cubic", "identity"):
             raise ValueError(f"unknown interpolant {self.interpolant!r}")
+
+
+@dataclass(frozen=True)
+class SplitConstants:
+    """Coefficients of grad W1 for W1 = a_uu u^2/2 + a_uv uv + (a_vv/2) v^2.
+
+    W1 is the convex part of the well that the time stepper treats
+    implicitly; its diagonal (a_uu/eps)u and (a_vv/eps)v are what
+    :class:`ExplicitForce` leaves out of the variational derivatives.
+    """
+
+    a_uu: float = 87.0
+    a_uv: float = 27.0
+    a_vv: float = 54.0
+
+    def hessian(self) -> np.ndarray:
+        return np.array([[self.a_uu, self.a_uv], [self.a_uv, self.a_vv]])
+
+
+SPLIT = SplitConstants()
 
 
 @dataclass(frozen=True)
@@ -149,11 +172,19 @@ def perimeter_term(u: Field, v: Field, params: PhysParams) -> float:
     return gradient_part + well_part
 
 
+def _nonlocal_energy(grid: GridSpec, w_hat: np.ndarray) -> float:
+    """N = (1/2)*int|grad phi|^2 = (1/2)*sum |w_hat|^2/|k|^2 by Parseval."""
+    return 0.5 * parseval_sum(grid, w_hat, _inv_k_squared(grid))
+
+
 def nonlocal_term(u: Field, v: Field, params: PhysParams) -> tuple[float, Field]:
     """(N, phi) with N = (1/2)*int|grad phi|^2, phi zero-mean periodic."""
     grid = require_same_grid(u, v)
-    phi = poisson_solve_array(grid, charge_density(u, v, params))
-    return 0.5 * dirichlet_energy_array(grid, phi), Field(grid, phi)
+    w_hat = np.fft.rfftn(charge_density(u, v, params))
+    energy = _nonlocal_energy(grid, w_hat)
+    w_hat *= _inv_k_squared(grid)
+    phi = np.fft.irfftn(w_hat, s=grid.shape, axes=_all_axes(grid))
+    return energy, Field(grid, phi)
 
 
 def constraint_term(u: Field, v: Field, params: PhysParams) -> float:
@@ -173,8 +204,9 @@ def v_regularization_term(v: Field, params: PhysParams) -> float:
 
 
 def total_energy(u: Field, v: Field, params: PhysParams) -> EnergyBreakdown:
-    """Full breakdown; total = P + gamma*N + C + R."""
-    nonlocal_, _ = nonlocal_term(u, v, params)
+    """Full breakdown; total = P + gamma*N + C + R (three FFTs)."""
+    grid = require_same_grid(u, v)
+    nonlocal_ = _nonlocal_energy(grid, np.fft.rfftn(charge_density(u, v, params)))
     return EnergyBreakdown.assemble(
         perimeter=perimeter_term(u, v, params),
         nonlocal_=nonlocal_,
@@ -182,6 +214,98 @@ def total_energy(u: Field, v: Field, params: PhysParams) -> EnergyBreakdown:
         v_regularization=v_regularization_term(v, params),
         gamma=params.gamma,
     )
+
+
+class ExplicitForce:
+    """The explicit part (F_u, F_v) of the variational derivatives.
+
+        F_u = (W_u - a_uu u)/eps + (gamma*phi - K1(m - int f(u))) f'(u)
+        F_v = (W_v - a_vv v)/eps - ((gamma/zeta)*phi + K2(zeta m - int f(v))) f'(v)
+
+    with -lap(phi) = f(u) - f(v)/zeta (zero mean), so that
+    dE/du = F_u + (a_uu/eps)u - eps*lap u and
+    dE/dv = F_v + (a_vv/eps)v - 2*v_reg*lap v. This is the one definition of
+    the force: the time stepper takes it explicitly and
+    :func:`variational_derivatives` adds the linear part back.
+
+    The pointwise work is fused. For the cubic f, the terms f, f' and W_u
+    share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
+    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call costs two FFTs (the
+    Poisson solve) and writes through ``out=`` into four field buffers and one
+    half-spectrum allocated here once; between calls the caller may use
+    ``work`` and ``spec`` as scratch.
+    """
+
+    def __init__(self, grid: GridSpec, params: PhysParams):
+        self.grid = grid
+        self.params = params
+        self.cubic = params.interpolant == "cubic"
+        self.inv_k2 = _inv_k_squared(grid)
+        self.axes = _all_axes(grid)
+        self.work = tuple(np.empty(grid.shape) for _ in range(4))
+        half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)  # rfftn layout
+        self.spec = np.empty(half, dtype=np.complex128)
+
+    def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
+        """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only."""
+        p, grid = self.params, self.grid
+        eps, zeta = p.epsilon, p.zeta
+        s_u, s_v, fu, fv = self.work
+        np.multiply(u, u, out=s_u)
+        np.subtract(u, s_u, out=s_u)
+        if self.cubic:
+            np.multiply(v, v, out=s_v)
+            np.subtract(v, s_v, out=s_v)
+            for z, s, f in ((u, s_u, fu), (v, s_v, fv)):
+                np.multiply(s, 2.0, out=f)
+                f += z
+                f *= z
+            slope = 6.0
+        else:
+            fu, fv = u, v
+            slope = 1.0
+        mass_u = integrate_array(grid, fu)
+        mass_v = integrate_array(grid, fv)
+
+        # phi from the charge density f(u) - f(v)/zeta, into the last buffer
+        phi, charge = self.work[3], self.work[2]
+        np.divide(fv, zeta, out=phi)
+        np.subtract(fu, phi, out=charge)
+        np.fft.rfftn(charge, out=self.spec)
+        self.spec *= self.inv_k2
+        np.fft.irfftn(self.spec, s=grid.shape, axes=self.axes, out=phi)
+
+        # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
+        np.multiply(phi, slope * p.gamma, out=out_u)
+        out_u -= slope * p.K1 * (p.mass - mass_u)
+        np.multiply(phi, -slope * p.gamma / zeta, out=out_v)
+        out_v -= slope * p.K2 * (zeta * p.mass - mass_v)
+        if self.cubic:
+            out_u *= s_u
+            out_v *= s_v
+
+        # well: overlap = max(u + v - 1, 0) into phi
+        tmp = charge
+        np.add(u, v, out=phi)
+        phi -= 1.0
+        np.maximum(phi, 0.0, out=phi)
+        # (W_v - a_vv v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - a_vv) v)/eps
+        np.clip(v, 0.0, 1.0, out=tmp)
+        np.subtract(phi, tmp, out=tmp)
+        tmp *= 27.0 / eps
+        out_v += tmp
+        np.multiply(v, (27.0 - SPLIT.a_vv) / eps, out=tmp)
+        out_v += tmp
+        # (W_u - a_uu u)/eps = (36 s (1 - 2u) + 27 overlap - a_uu u)/eps
+        np.multiply(u, -2.0, out=tmp)
+        tmp += 1.0
+        tmp *= s_u
+        tmp *= 36.0 / eps
+        out_u += tmp
+        phi *= 27.0 / eps
+        out_u += phi
+        np.multiply(u, SPLIT.a_uu / eps, out=tmp)
+        out_u -= tmp
 
 
 def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Field, Field]:
@@ -192,21 +316,9 @@ def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Fie
             - 2*v_reg*lap v
     """
     grid = require_same_grid(u, v)
-    f, fp = interpolant_pair(params)
     uu, vv = u.values, v.values
-    phi = poisson_solve_array(grid, f(uu) - f(vv) / params.zeta)
-    mass_u = integrate_array(grid, f(uu))
-    mass_v = integrate_array(grid, f(vv))
-    w_u, w_v = potential_W_grad(uu, vv)
-    du = (
-        -params.epsilon * laplacian_array(grid, uu)
-        + w_u / params.epsilon
-        + (params.gamma * phi - params.K1 * (params.mass - mass_u)) * fp(uu)
-    )
-    dv = (
-        w_v / params.epsilon
-        - (params.gamma / params.zeta * phi + params.K2 * (params.zeta * params.mass - mass_v))
-        * fp(vv)
-        - 2.0 * params.v_reg * laplacian_array(grid, vv)
-    )
+    du, dv = np.empty(grid.shape), np.empty(grid.shape)
+    ExplicitForce(grid, params)(uu, vv, du, dv)
+    du += SPLIT.a_uu / params.epsilon * uu - params.epsilon * laplacian_array(grid, uu)
+    dv += SPLIT.a_vv / params.epsilon * vv - 2.0 * params.v_reg * laplacian_array(grid, vv)
     return Field(grid, du), Field(grid, dv)

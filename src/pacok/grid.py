@@ -92,10 +92,13 @@ def _all_axes(grid: GridSpec) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _k_squared(grid: GridSpec) -> np.ndarray:
-    """|k|^2 on the rfftn layout for ``grid``."""
+def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Angular wavenumbers per axis (x first) on the rfftn layout.
+
+    Each array is shaped to broadcast against the rfftn coefficients.
+    """
     dim = grid.dim
-    axes = []
+    out = []
     for axis in range(dim):
         n, h = grid.points[axis], grid.spacing[axis]
         if axis == 0:
@@ -104,11 +107,29 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
             k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
         shape = [1] * dim
         shape[dim - 1 - axis] = k.size
-        axes.append((k ** 2).reshape(shape))
-    k2 = axes[0]
-    for extra in axes[1:]:
-        k2 = k2 + extra
+        k = k.reshape(shape)
+        k.flags.writeable = False
+        out.append(k)
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _k_squared(grid: GridSpec) -> np.ndarray:
+    """|k|^2 on the rfftn layout for ``grid``."""
+    k2 = sum(k ** 2 for k in _wavenumbers(grid))
+    k2.flags.writeable = False
     return k2
+
+
+def _inv_k_squared(grid: GridSpec) -> np.ndarray:
+    """1/|k|^2 on the rfftn layout, with the zero mode pinned to 0.
+
+    Not cached: it is as large as |k|^2, and only the stepper reuses it.
+    """
+    k2 = _k_squared(grid)
+    inv = np.zeros_like(k2)
+    np.divide(1.0, k2, out=inv, where=k2 > 0)
+    return inv
 
 
 @lru_cache(maxsize=64)
@@ -163,16 +184,9 @@ def require_same_grid(*fields: Field) -> GridSpec:
 
 def poisson_solve(w: Field) -> Field:
     """Zero-mean solution of -lap(phi) = w - mean(w), periodic."""
-    return Field(w.grid, poisson_solve_array(w.grid, w.values))
-
-
-def poisson_solve_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Array-level Poisson solve; used on the dynamics hot path."""
-    spec = np.fft.rfftn(values)
-    k2 = _k_squared(grid)
-    out = np.zeros_like(spec)
-    np.divide(spec, k2, out=out, where=k2 > 0)
-    return np.fft.irfftn(out, s=grid.shape, axes=_all_axes(grid))
+    spec = np.fft.rfftn(w.values)
+    spec *= _inv_k_squared(w.grid)
+    return Field(w.grid, np.fft.irfftn(spec, s=w.grid.shape, axes=_all_axes(w.grid)))
 
 
 def laplacian(f: Field) -> Field:
@@ -183,6 +197,15 @@ def laplacian(f: Field) -> Field:
 def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     spec = np.fft.rfftn(values)
     return np.fft.irfftn(-_k_squared(grid) * spec, s=grid.shape, axes=_all_axes(grid))
+
+
+def translate(f: Field, shift) -> Field:
+    """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
+    grid = f.grid
+    spec = np.fft.rfftn(f.values)
+    for k, t in zip(_wavenumbers(grid), shift):
+        spec = spec * np.exp(1j * k * t)
+    return Field(grid, np.fft.irfftn(spec, s=grid.shape, axes=_all_axes(grid)))
 
 
 def integrate(f: Field) -> float:
@@ -200,16 +223,12 @@ def dirichlet_energy(f: Field) -> float:
 
 
 def dirichlet_energy_array(grid: GridSpec, values: np.ndarray) -> float:
-    spec = np.fft.rfftn(values)
-    k2 = _k_squared(grid)
-    weights = _parseval_weights(grid)
-    total = float(np.sum(weights * k2 * (spec.real ** 2 + spec.imag ** 2)))
-    return grid.cell_volume / grid.size * total
+    return parseval_sum(grid, np.fft.rfftn(values), _k_squared(grid))
 
 
-def dirichlet_energy_spectrum(grid: GridSpec, spec: np.ndarray) -> float:
-    """Same as :func:`dirichlet_energy_array` given the rfftn coefficients."""
-    k2 = _k_squared(grid)
+def parseval_sum(grid: GridSpec, spec: np.ndarray, multiplier: np.ndarray) -> float:
+    """Integral of g*M(g) over the box, where g has rfftn coefficients ``spec``
+    and M is the real symmetric Fourier multiplier ``multiplier``."""
     weights = _parseval_weights(grid)
-    total = float(np.sum(weights * k2 * (spec.real ** 2 + spec.imag ** 2)))
+    total = float(np.sum(weights * multiplier * (spec.real ** 2 + spec.imag ** 2)))
     return grid.cell_volume / grid.size * total

@@ -12,6 +12,21 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft.rfftn/irfftn calls made while the test runs."""
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def band_limited(grid: pk.GridSpec, rng, max_mode: int = 6, zero_mean: bool = True):
     """Random smooth periodic field with modes up to ``max_mode`` per axis."""
     spec_shape = list(grid.shape)

@@ -15,7 +15,6 @@ import pytest
 
 import pacok as pk
 from pacok import analysis, initcond, radial
-from pacok.dynamics import _Stepper
 from pacok.energy import nonlocal_term
 
 from conftest import band_limited
@@ -47,20 +46,16 @@ def _liposome_seed(grid, mass, zeta, gamma, n, eps, noise=None, seed=1):
 
 def _drive(state, params, cfg_dt, mobilities, steps, energy_every):
     """March ``steps`` updates, recording (step, E) every ``energy_every``."""
-    grid = state.u.grid
     cfg = pk.StepperConfig(L1=mobilities[0], L2=mobilities[1], dt=cfg_dt,
-                           max_steps=1, stop_tol=1e-12)
-    stepper = _Stepper(grid, params, cfg)
-    u, v = state.u.values, state.v.values
+                           max_steps=steps, stop_tol=math.inf, trace_every=energy_every)
     history = []
-    for k in range(1, steps + 1):
-        u, v, _ = stepper.advance(u, v)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise AssertionError(f"non-finite state at step {k}")
-        if k % energy_every == 0:
-            energy = pk.total_energy(pk.Field(grid, u), pk.Field(grid, v), params)
-            history.append((k, energy.total))
-    return pk.RunState(u=pk.Field(grid, u), v=pk.Field(grid, v)), history
+
+    def on_trace(current, residual):
+        if current.step % energy_every == 0 and current.step > 0:
+            history.append((current.step, current.last_energy.total))
+
+    result = pk.run(state, params, cfg, on_trace=on_trace)
+    return result.state, history
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 import pacok as pk
 from pacok import storage
 from pacok.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -123,6 +127,22 @@ class TestRunAndFriends:
         # overwhelms the implicit part and the divergence guard must trip
         data["perturb"] = {"kind": "noise", "amplitude": 6.0, "seed": 0}
         data["rescale_masses"] = False
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path)]) == 2
+        assert "divergence" in capsys.readouterr().err
+
+    def test_overflowing_energy_exits_two(self, tmp_path, capsys):
+        # the shipped 2-D physics at 32^2 and 16x its dt: the fields grow to
+        # ~1e114 while still finite, and the trace energy overflows first
+        import json
+        import numpy as np
+        data = json.loads((CONFIGS / "run2d.json").read_text())
+        data["grid"]["points"] = [32, 32]
+        data["stepper"]["dt"] = 2e-3
+        data["stepper"]["trace_every"] = 1
+        data["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(path)]) == 2

@@ -5,8 +5,10 @@ import pytest
 
 import pacok as pk
 from pacok import analysis, initcond
-from pacok.dynamics import SPLIT, amplification_matrix
+from pacok.dynamics import SPLIT, _Stepper, amplification_matrix
+from pacok.energy import interpolant_pair
 from pacok.errors import DivergenceError
+from pacok.grid import _k_squared, integrate_array
 
 GRID = pk.GridSpec((32, 32), (1.8, 1.8))
 PARAMS = pk.PhysParams(zeta=1.0, gamma=1500.0, mass=0.4, epsilon=0.05, K1=3e4, K2=4800.0)
@@ -122,6 +124,134 @@ class TestStep:
         new = pk.step(state, PARAMS, CFG)
         assert new.step == 1
         assert new.time == pytest.approx(CFG.dt)
+
+
+def _oracle_advance(grid, params, cfg, u, v):
+    """The earlier 8-FFT update (transforms of u and of the force taken
+    apart, W gradient unfused), kept as an independent oracle."""
+    p, eps, axes = params, params.epsilon, tuple(range(grid.dim))
+    k2 = _k_squared(grid)
+    den_u = 1.0 + cfg.dt * cfg.L1 * (eps * k2 + SPLIT.a_uu / eps)
+    den_v = 1.0 + cfg.dt * cfg.L2 * (2.0 * p.v_reg * k2 + SPLIT.a_vv / eps)
+    f, fp = interpolant_pair(p)
+    fu, fv = f(u), f(v)
+    w_hat = np.fft.rfftn(fu - fv / p.zeta)
+    phi_hat = np.zeros_like(w_hat)
+    np.divide(w_hat, k2, out=phi_hat, where=k2 > 0)
+    phi = np.fft.irfftn(phi_hat, s=grid.shape, axes=axes)
+    mass_u, mass_v = integrate_array(grid, fu), integrate_array(grid, fv)
+    w_u, w_v = pk.potential_W_grad(u, v)
+    force_u = (w_u - SPLIT.a_uu * u) / eps + (p.gamma * phi - p.K1 * (p.mass - mass_u)) * fp(u)
+    force_v = (w_v - SPLIT.a_vv * v) / eps - (
+        p.gamma / p.zeta * phi + p.K2 * (p.zeta * p.mass - mass_v)) * fp(v)
+    u_hat = (np.fft.rfftn(u) - cfg.dt * cfg.L1 * np.fft.rfftn(force_u)) / den_u
+    v_hat = (np.fft.rfftn(v) - cfg.dt * cfg.L2 * np.fft.rfftn(force_v)) / den_v
+    return (np.fft.irfftn(u_hat, s=grid.shape, axes=axes),
+            np.fft.irfftn(v_hat, s=grid.shape, axes=axes))
+
+
+def _noisy_shell(grid, interpolant):
+    """A noisy shell seed and parameters whose mass targets it matches.
+
+    With the identity interpolant f' = 1 spreads the explicit mass penalty
+    over the whole box, so its penalties are 1000x weaker to stay stable.
+    """
+    center = tuple(0.5 * length for length in grid.lengths)
+    spec = pk.BilayerSpec(shape=pk.Shell(center=center, inner_radius=0.3, outer_radius=0.45),
+                          epsilon=0.1, zeta=1.0)
+    u, v = pk.build_bilayer(spec, grid)
+    u = initcond.add_noise(u, 0.01, seed=3)
+    v = initcond.add_noise(v, 0.01, seed=4)
+    f, _ = interpolant_pair(pk.PhysParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                          interpolant=interpolant))
+    mass_u, mass_v = integrate_array(grid, f(u.values)), integrate_array(grid, f(v.values))
+    weaken = 1.0 if interpolant == "cubic" else 1e-3
+    params = pk.PhysParams(zeta=mass_v / mass_u, gamma=1500.0, mass=mass_u, epsilon=0.1,
+                           K1=3e4 * weaken, K2=4800.0 * weaken, interpolant=interpolant)
+    return pk.RunState(u=u, v=v), params
+
+
+class TestWorkspaceStepper:
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    @pytest.mark.parametrize("points,lengths", [((32, 32), (2.0, 2.0)),
+                                                ((16, 16, 16), (2.0, 2.0, 2.0))])
+    def test_matches_eight_fft_oracle(self, points, lengths, interpolant):
+        grid = pk.GridSpec(points, lengths)
+        state, params = _noisy_shell(grid, interpolant)
+        stepper = _Stepper(grid, params, CFG)
+        buffers = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
+        new = old = (state.u.values, state.v.values)
+        for k in range(50):
+            new = stepper.advance(*new, *buffers[k % 2])
+            old = _oracle_advance(grid, params, CFG, *old)
+        assert np.all(np.isfinite(new[0])) and np.all(np.isfinite(new[1]))
+        assert np.max(np.abs(new[0] - state.u.values)) > 1e-6  # the state moved
+        assert np.max(np.abs(new[0] - old[0])) <= 1e-12
+        assert np.max(np.abs(new[1] - old[1])) <= 1e-12
+
+    def test_advance_without_buffers_returns_fresh_arrays(self):
+        state = _liposome_state()
+        stepper = _Stepper(GRID, PARAMS, CFG)
+        u, v = state.u.values.copy(), state.v.values.copy()
+        first = stepper.advance(u, v)
+        second = stepper.advance(u, v)
+        assert np.array_equal(u, state.u.values) and np.array_equal(v, state.v.values)
+        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+        assert not np.shares_memory(first[0], second[0])
+        assert not np.shares_memory(first[1], second[1])
+
+    def test_six_ffts_per_step(self, fft_calls):
+        state = _liposome_state()
+        _Stepper(GRID, PARAMS, CFG).advance(state.u.values, state.v.values)
+        assert sorted(fft_calls) == ["irfftn"] * 3 + ["rfftn"] * 3
+        fft_calls.clear()
+        cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=5, stop_tol=np.inf)
+        pk.run(state, PARAMS, cfg)
+        assert len(fft_calls) == 6 * 5 + 3  # five steps, then the final energy
+
+    def test_callback_states_own_their_arrays(self):
+        state = _liposome_state(noise=0.01)
+        before = (state.u.values.copy(), state.v.values.copy())
+        cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=6, stop_tol=1e-12,
+                               trace_every=1, checkpoint_every=2)
+        traced, checked = [], []
+
+        def on_trace(current, residual):
+            traced.append((current, current.u.values.copy(), current.v.values.copy()))
+
+        def on_checkpoint(current):
+            checked.append((current, current.u.values.copy(), current.v.values.copy()))
+
+        result = pk.run(state, PARAMS, cfg, on_trace=on_trace, on_checkpoint=on_checkpoint)
+        assert [s.step for s, _, _ in traced] == list(range(7))
+        for current, u, v in traced + checked:
+            assert np.array_equal(current.u.values, u)
+            assert np.array_equal(current.v.values, v)
+        assert np.array_equal(traced[-1][0].u.values, result.state.u.values)
+        assert not np.shares_memory(traced[-1][0].u.values, result.state.u.values)
+        assert np.array_equal(state.u.values, before[0])
+        assert np.array_equal(state.v.values, before[1])
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_nan_raises_at_its_step(self, monkeypatch, phase):
+        original = _Stepper.advance
+        steps = []
+
+        def poisoned(self, u, v, out_u=None, out_v=None):
+            out = original(self, u, v, out_u, out_v)
+            steps.append(None)
+            if len(steps) == 3:
+                out[phase][3, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(_Stepper, "advance", poisoned)
+        base = _liposome_state()
+        state = pk.RunState(u=base.u, v=base.v, time=10 * CFG.dt, step=10)
+        cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=8, stop_tol=np.inf)
+        with pytest.raises(DivergenceError) as err:
+            pk.run(state, PARAMS, cfg)
+        assert err.value.step == 13
+        assert len(steps) == 3
 
 
 class TestRun:

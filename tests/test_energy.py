@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pacok as pk
-from pacok.energy import interpolant_pair, v_regularization_term
+from pacok.energy import interpolant_pair, nonlocal_term, v_regularization_term
 from pacok.errors import GridMismatchError
 
 GRID = pk.GridSpec((32, 32), (1.3, 1.3))
@@ -221,6 +221,18 @@ class TestTotalEnergy:
             PARAMS,
         )
         assert shifted.total == pytest.approx(b.total, rel=1e-12)
+
+    def test_three_ffts(self, rng, fft_calls):
+        u, v = _random_pair(rng)
+        pk.total_energy(u, v, PARAMS)
+        assert fft_calls == ["rfftn"] * 3
+
+    def test_parseval_nonlocal_matches_potential(self, rng):
+        # N by Parseval from the charge spectrum equals (1/2) int |grad phi|^2
+        u, v = _random_pair(rng)
+        nonlocal_, phi = nonlocal_term(u, v, PARAMS)
+        assert pk.total_energy(u, v, PARAMS).nonlocal_ == nonlocal_
+        assert nonlocal_ == pytest.approx(0.5 * pk.dirichlet_energy(phi), rel=1e-12)
 
     def test_v_regularization_value(self, rng):
         u, v = _random_pair(rng)

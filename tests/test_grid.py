@@ -5,7 +5,7 @@ import pytest
 
 import pacok as pk
 from pacok.errors import GridMismatchError, InvalidFieldError
-from pacok.grid import require_same_grid
+from pacok.grid import require_same_grid, translate
 
 from conftest import band_limited
 
@@ -144,3 +144,21 @@ class TestTranslationEquivariance:
         rolled = pk.Field(UNIT, np.roll(w.values, 7, axis=1))
         assert pk.dirichlet_energy(rolled) == pytest.approx(pk.dirichlet_energy(w), rel=1e-12)
         assert pk.integrate(rolled) == pytest.approx(pk.integrate(w), abs=1e-13)
+
+
+class TestTranslate:
+    def test_whole_cells_match_roll(self, rng):
+        grid = pk.GridSpec((16, 8, 12), (1.6, 0.5, 0.9))
+        f = pk.Field(grid, rng.normal(size=grid.shape))
+        shift = tuple(c * h for c, h in zip((3, -2, 5), grid.spacing))
+        moved = translate(f, shift).values
+        # f(x + s) moves the samples s/h cells toward the origin on each axis
+        expected = np.roll(f.values, (-5, 2, -3), axis=(0, 1, 2))
+        assert np.max(np.abs(moved - expected)) < 1e-12
+
+    def test_round_trip_and_input_untouched(self, rng):
+        f = band_limited(UNIT, rng, max_mode=10)
+        before = f.values.copy()
+        back = translate(translate(f, (0.137, -0.29)), (-0.137, 0.29))
+        assert np.array_equal(f.values, before)
+        assert np.max(np.abs(back.values - before)) < 1e-12
