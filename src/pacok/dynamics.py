@@ -102,8 +102,9 @@ class _Stepper:
     and 1/den_v. A step costs six FFTs: the Poisson solve inside the force
     (rfftn + irfftn), then one rfftn of u - dt*L1*F_u and one of
     v - dt*L2*F_v, each multiplied in place by its 1/den and brought back by
-    one irfftn. Given output buffers, a step allocates no field-sized array
-    of its own; between steps the force's ``work`` buffers are free scratch.
+    one irfftn. A step writes into the caller's output buffers and allocates
+    no field-sized array of its own; between steps the force's ``work``
+    buffers are free scratch.
     """
 
     def __init__(self, grid, params: PhysParams, cfg: StepperConfig):
@@ -118,16 +119,9 @@ class _Stepper:
             1.0 + self.lam_v * (2.0 * params.v_reg * k2 + SPLIT.a_vv / eps)
         )
 
-    def advance(self, u: np.ndarray, v: np.ndarray, out_u=None, out_v=None):
-        """One step from (u, v); returns (u+, v+).
-
-        u+ and v+ are written into ``out_u``/``out_v`` (which must not alias
-        u, v or the workspace), or into fresh arrays when those are omitted.
-        """
-        if out_u is None:
-            out_u = np.empty(self.grid.shape)
-        if out_v is None:
-            out_v = np.empty(self.grid.shape)
+    def advance(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
+        """One step from (u, v); writes u+ into ``out_u`` and v+ into ``out_v``
+        (which must not alias u, v or the workspace) and returns them."""
         self.force(u, v, out_u, out_v)
         spec = self.force.spec
         for z, out, lam, inv_den in ((u, out_u, self.lam_u, self.inv_den_u),
@@ -159,18 +153,10 @@ def _with_energy(state: RunState, params: PhysParams) -> RunState:
 
 
 def step(state: RunState, params: PhysParams, cfg: StepperConfig) -> RunState:
-    """One update of (u, v); raises DivergenceError on non-finite output."""
-    u_new, v_new = _Stepper(state.u.grid, params, cfg).advance(state.u.values, state.v.values)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise DivergenceError(state.step + 1)
-    grid = state.u.grid
-    return RunState(
-        u=Field(grid, u_new),
-        v=Field(grid, v_new),
-        time=state.time + cfg.dt,
-        step=state.step + 1,
-        last_energy=state.last_energy,
-    )
+    """One update of (u, v): a one-step :func:`run` without the stationarity
+    check, so the new state carries its own energy. Raises DivergenceError
+    as :func:`run` does."""
+    return run(state, params, replace(cfg, max_steps=1, stop_tol=math.inf)).state
 
 
 def run(
@@ -183,11 +169,15 @@ def run(
     """Iterate until the max-norm of (u+ - u)/dt drops below stop_tol.
 
     A non-finite stop_tol disables the stationarity check, so the loop runs
-    for exactly max_steps. Callbacks fire at their cadence (step 0 included)
-    and once more on the final state; ``on_trace(state, residual)`` receives
-    the state with ``last_energy`` refreshed. States handed to callbacks and
-    the final state own their arrays. DivergenceError is raised when a step
-    produces a non-finite sample or an energy at trace or final cadence
+    for exactly max_steps. Emission: every state before the final one is
+    handed to ``on_trace(state, residual)`` and ``on_checkpoint(state)`` when
+    its step is a multiple of that callback's cadence (the input state
+    included, with residual NaN); the final state goes to both callbacks
+    once, whatever its step. Each emitted state is one snapshot that owns its
+    arrays; it carries ``last_energy`` when traced, and the final one always
+    does. The result's state holds that energy and its own copy of the
+    arrays; its residual is inf when no step was taken. DivergenceError is
+    raised when a step produces a non-finite sample or an emitted energy
     overflows or is not finite.
     """
     grid = state.u.grid
@@ -196,35 +186,28 @@ def run(
     pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
     work = stepper.force.work[0]
     u, v = state.u.values, state.v.values
-    start_time, start_step = state.time, state.step
     check_stationary = np.isfinite(cfg.stop_tol)
-    residual = np.inf
+    residual = np.nan
     reason = "max_steps"
-    nstep = start_step
-    last_traced = last_checked = -1
-
-    def _snapshot():
-        return RunState(Field(grid, u.copy()), Field(grid, v.copy()), time, nstep)
-
-    def _emit(res, force=False):
-        nonlocal last_traced, last_checked
-        must_trace = on_trace and (nstep % cfg.trace_every == 0 or force)
-        must_ckpt = on_checkpoint and (nstep % cfg.checkpoint_every == 0 or force)
-        current = None
-        if must_trace and last_traced != nstep:
-            current = _with_energy(_snapshot(), params)
-            on_trace(current, res)
-            last_traced = nstep
-        if must_ckpt and last_checked != nstep:
-            if current is None:
-                current = _snapshot()
-            on_checkpoint(current)
-            last_checked = nstep
-
-    time = start_time
-    _emit(np.nan)
     done = 0
+
+    def _emit(trace: bool, checkpoint: bool, energy: bool = False) -> RunState:
+        current = RunState(Field(grid, u.copy()), Field(grid, v.copy()),
+                           state.time + done * cfg.dt, state.step + done)
+        if trace or energy:
+            current = _with_energy(current, params)
+        if trace:
+            on_trace(current, residual)
+        if checkpoint:
+            on_checkpoint(current)
+        return current
+
     while done < cfg.max_steps:
+        nstep = state.step + done
+        trace = on_trace is not None and nstep % cfg.trace_every == 0
+        checkpoint = on_checkpoint is not None and nstep % cfg.checkpoint_every == 0
+        if trace or checkpoint:
+            _emit(trace, checkpoint)
         u_new, v_new = stepper.advance(u, v, *pairs[done % 2])
         change_u = _max_change(u_new, u, work)
         change_v = _max_change(v_new, v, work)
@@ -233,16 +216,14 @@ def run(
         residual = max(change_u, change_v) / cfg.dt
         u, v = u_new, v_new
         done += 1
-        nstep = start_step + done
-        time = start_time + done * cfg.dt
         if check_stationary and residual < cfg.stop_tol:
             reason = "stationary"
             break
-        _emit(residual)
 
-    _emit(residual, force=True)
-    final = _with_energy(_snapshot(), params)
-    return RunResult(state=final, reason=reason, residual=float(residual))
+    final = _emit(on_trace is not None, on_checkpoint is not None, energy=True)
+    # the callbacks may keep ``final``; the result gets arrays of its own
+    final = replace(final, u=Field(grid, u.copy()), v=Field(grid, v.copy()))
+    return RunResult(state=final, reason=reason, residual=float(residual) if done else np.inf)
 
 
 def screening_check(state: RunState, params: PhysParams, threshold: float = 0.01) -> float:

@@ -25,9 +25,9 @@ from .grid import (
     GridSpec,
     _all_axes,
     _inv_k_squared,
-    dirichlet_energy_array,
+    dirichlet_energy,
     integrate_array,
-    laplacian_array,
+    laplacian,
     parseval_sum,
     require_same_grid,
 )
@@ -167,32 +167,37 @@ def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
 def perimeter_term(u: Field, v: Field, params: PhysParams) -> float:
     """(eps/2)*int|grad u|^2 + (1/eps)*int W(u, v)."""
     grid = require_same_grid(u, v)
-    gradient_part = 0.5 * params.epsilon * dirichlet_energy_array(grid, u.values)
+    gradient_part = 0.5 * params.epsilon * dirichlet_energy(u)
     well_part = integrate_array(grid, potential_W(u.values, v.values)) / params.epsilon
     return gradient_part + well_part
 
 
-def _nonlocal_energy(grid: GridSpec, w_hat: np.ndarray) -> float:
+def _nonlocal_energy(grid: GridSpec, w_hat: np.ndarray, inv_k2: np.ndarray) -> float:
     """N = (1/2)*int|grad phi|^2 = (1/2)*sum |w_hat|^2/|k|^2 by Parseval."""
-    return 0.5 * parseval_sum(grid, w_hat, _inv_k_squared(grid))
+    return 0.5 * parseval_sum(grid, w_hat, inv_k2)
 
 
 def nonlocal_term(u: Field, v: Field, params: PhysParams) -> tuple[float, Field]:
     """(N, phi) with N = (1/2)*int|grad phi|^2, phi zero-mean periodic."""
     grid = require_same_grid(u, v)
     w_hat = np.fft.rfftn(charge_density(u, v, params))
-    energy = _nonlocal_energy(grid, w_hat)
-    w_hat *= _inv_k_squared(grid)
+    inv_k2 = _inv_k_squared(grid)
+    energy = _nonlocal_energy(grid, w_hat, inv_k2)
+    w_hat *= inv_k2
     phi = np.fft.irfftn(w_hat, s=grid.shape, axes=_all_axes(grid))
     return energy, Field(grid, phi)
 
 
-def constraint_term(u: Field, v: Field, params: PhysParams) -> float:
-    """(K1/2)(m - int f(u))^2 + (K2/2)(zeta*m - int f(v))^2."""
+def masses(u: Field, v: Field, params: PhysParams) -> tuple[float, float]:
+    """(int f(u), int f(v)), the masses the penalties hold at m and zeta*m."""
     grid = require_same_grid(u, v)
     f, _ = interpolant_pair(params)
-    mass_u = integrate_array(grid, f(u.values))
-    mass_v = integrate_array(grid, f(v.values))
+    return integrate_array(grid, f(u.values)), integrate_array(grid, f(v.values))
+
+
+def constraint_term(u: Field, v: Field, params: PhysParams) -> float:
+    """(K1/2)(m - int f(u))^2 + (K2/2)(zeta*m - int f(v))^2."""
+    mass_u, mass_v = masses(u, v, params)
     return 0.5 * params.K1 * (params.mass - mass_u) ** 2 + 0.5 * params.K2 * (
         params.zeta * params.mass - mass_v
     ) ** 2
@@ -200,13 +205,14 @@ def constraint_term(u: Field, v: Field, params: PhysParams) -> float:
 
 def v_regularization_term(v: Field, params: PhysParams) -> float:
     """v_reg * int|grad v|^2."""
-    return params.v_reg * dirichlet_energy_array(v.grid, v.values)
+    return params.v_reg * dirichlet_energy(v)
 
 
 def total_energy(u: Field, v: Field, params: PhysParams) -> EnergyBreakdown:
     """Full breakdown; total = P + gamma*N + C + R (three FFTs)."""
     grid = require_same_grid(u, v)
-    nonlocal_ = _nonlocal_energy(grid, np.fft.rfftn(charge_density(u, v, params)))
+    w_hat = np.fft.rfftn(charge_density(u, v, params))
+    nonlocal_ = _nonlocal_energy(grid, w_hat, _inv_k_squared(grid))
     return EnergyBreakdown.assemble(
         perimeter=perimeter_term(u, v, params),
         nonlocal_=nonlocal_,
@@ -319,6 +325,6 @@ def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Fie
     uu, vv = u.values, v.values
     du, dv = np.empty(grid.shape), np.empty(grid.shape)
     ExplicitForce(grid, params)(uu, vv, du, dv)
-    du += SPLIT.a_uu / params.epsilon * uu - params.epsilon * laplacian_array(grid, uu)
-    dv += SPLIT.a_vv / params.epsilon * vv - 2.0 * params.v_reg * laplacian_array(grid, vv)
+    du += SPLIT.a_uu / params.epsilon * uu - params.epsilon * laplacian(u).values
+    dv += SPLIT.a_vv / params.epsilon * vv - 2.0 * params.v_reg * laplacian(v).values
     return Field(grid, du), Field(grid, dv)

@@ -191,12 +191,9 @@ def poisson_solve(w: Field) -> Field:
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: multiply coefficients by -|k|^2."""
-    return Field(f.grid, laplacian_array(f.grid, f.values))
-
-
-def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    spec = np.fft.rfftn(values)
-    return np.fft.irfftn(-_k_squared(grid) * spec, s=grid.shape, axes=_all_axes(grid))
+    grid = f.grid
+    spec = np.fft.rfftn(f.values)
+    return Field(grid, np.fft.irfftn(-_k_squared(grid) * spec, s=grid.shape, axes=_all_axes(grid)))
 
 
 def translate(f: Field, shift) -> Field:
@@ -219,11 +216,7 @@ def integrate_array(grid: GridSpec, values: np.ndarray) -> float:
 
 def dirichlet_energy(f: Field) -> float:
     """Integral of |grad f|^2 via Parseval."""
-    return dirichlet_energy_array(f.grid, f.values)
-
-
-def dirichlet_energy_array(grid: GridSpec, values: np.ndarray) -> float:
-    return parseval_sum(grid, np.fft.rfftn(values), _k_squared(grid))
+    return parseval_sum(f.grid, np.fft.rfftn(f.values), _k_squared(f.grid))
 
 
 def parseval_sum(grid: GridSpec, spec: np.ndarray, multiplier: np.ndarray) -> float:

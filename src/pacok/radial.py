@@ -495,7 +495,6 @@ def _coarse_search(m, zeta, gamma, n):
 def _optimize_equal_mass(m, zeta, gamma, n):
     """1-dof search over the pivot (R1^n + R2^n)/2 under equal V masses."""
     content = mass_content(m, n)
-    surf_coef = math.pi if n == 2 else _FOUR_PI / 3.0
 
     def gradient(pivot):
         cand = equal_mass_candidate(m, zeta, n, pivot)
@@ -506,7 +505,7 @@ def _optimize_equal_mass(m, zeta, gamma, n):
             if n == 2
             else (8.0 * math.pi / 3.0) * (1.0 / r1 + 1.0 / r2)
         )
-        return per_part + gamma * surf_coef * (
+        return per_part + gamma * _ball_coef(n) * (
             phi0 / zeta - (1.0 + 1.0 / zeta) * (phi1 - phi2)
         )
 

@@ -122,61 +122,56 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
+def _section(data: dict, key: str, where: str = "config") -> dict:
+    """``data[key]``, which must be a JSON object; otherwise a ValueError naming it."""
+    value = data.get(key)
+    if value is None:
+        raise ValueError(f"missing section {key!r} in {where}")
+    if not isinstance(value, dict):
+        raise ValueError(f"section {key!r} in {where} is not an object")
+    return value
+
+
+def _build(cls, data: dict, where: str):
+    """``cls(**data)``; an unknown or missing key is a ValueError naming it and ``where``."""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    for f in fields:
+        if f.name not in data and f.default is dataclasses.MISSING:
+            raise ValueError(f"missing key {f.name!r} in {where}")
+    return cls(**data)
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    params = PhysParams(**data["params"])
-    stepper = StepperConfig(**data["stepper"])
-    grid = GridSpec(tuple(data["grid"]["points"]), tuple(data["grid"]["lengths"]))
-    init_data = data["init"]
+    """Parse a config mapping; a missing section, an unknown top-level key,
+    or an unknown or missing key in a section is a ValueError that names it."""
+    params = _build(PhysParams, _section(data, "params"), "config.params")
+    stepper = _build(StepperConfig, _section(data, "stepper"), "config.stepper")
+    grid = _build(GridSpec, _section(data, "grid"), "config.grid")
+    init_data = _section(data, "init")
     if "checkpoint" in init_data:
         init = init_data["checkpoint"]
     else:
-        shape_data = dict(init_data["shape"])
-        variant = shape_data.pop("variant")
-        shape = _SHAPE_TAGS[variant](**{k: _tuplify(v) for k, v in shape_data.items()})
-        init = initcond.BilayerSpec(
-            shape=shape,
-            epsilon=init_data["epsilon"],
-            u_half_thickness=init_data.get("u_half_thickness"),
-            v_thickness=init_data.get("v_thickness"),
-            zeta=init_data.get("zeta"),
-        )
-    perturb_data = data.get("perturb")
-    if perturb_data is None:
-        perturb = None
-    elif perturb_data["kind"] == "noise":
-        perturb = NoisePerturbation(amplitude=perturb_data["amplitude"], seed=perturb_data["seed"])
-    elif perturb_data["kind"] == "hole":
-        perturb = HolePerturbation(center=_tuplify(perturb_data["center"]), radius=perturb_data["radius"])
-    else:
-        raise ValueError(f"unknown perturbation kind {perturb_data['kind']!r}")
-    return RunConfig(
-        params=params,
-        stepper=stepper,
-        grid=grid,
-        init=init,
-        perturb=perturb,
-        output_dir=data.get("output_dir", "out"),
-        rescale_masses=data.get("rescale_masses", True),
-    )
-
-
-def default_2d_config(output_dir: str = "out") -> RunConfig:
-    """Reference 2-D configuration: zeta=1, gamma=1500, eps=0.05, K1=3e4,
-    K2=4800, L1=1, L2=5, dt=1.25e-4 on a 256^2 grid over a 2.6^2 box, seeded
-    with a liposome-sized shell at the box center."""
-    return RunConfig(
-        params=PhysParams(zeta=1.0, gamma=1500.0, mass=1.0, epsilon=0.05,
-                          K1=3.0e4, K2=4800.0),
-        stepper=StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=100000,
-                              stop_tol=1e-3, checkpoint_every=10000, trace_every=100),
-        grid=GridSpec((256, 256), (2.6, 2.6)),
-        init=initcond.BilayerSpec(
-            shape=initcond.Shell(center=(1.3, 1.3), inner_radius=0.7015710858600698,
-                                 outer_radius=0.9002843299195361),
-            epsilon=0.05, zeta=1.0),
-        perturb=NoisePerturbation(amplitude=0.01, seed=0),
-        output_dir=output_dir,
-    )
+        shape_data = dict(_section(init_data, "shape", "config.init"))
+        variant = shape_data.pop("variant", None)
+        if variant not in _SHAPE_TAGS:
+            raise ValueError(f"unknown shape variant {variant!r} in config.init.shape")
+        shape = _build(_SHAPE_TAGS[variant], {k: _tuplify(v) for k, v in shape_data.items()},
+                       "config.init.shape")
+        init = _build(initcond.BilayerSpec, {**init_data, "shape": shape}, "config.init")
+    perturb = None
+    if data.get("perturb") is not None:
+        perturb_data = {k: _tuplify(v) for k, v in _section(data, "perturb").items()}
+        kinds = {"noise": NoisePerturbation, "hole": HolePerturbation}
+        kind = perturb_data.pop("kind", None)
+        if kind not in kinds:
+            raise ValueError(f"unknown perturbation kind {kind!r} in config.perturb")
+        perturb = _build(kinds[kind], perturb_data, "config.perturb")
+    parsed = dict(params=params, stepper=stepper, grid=grid, init=init, perturb=perturb)
+    return _build(RunConfig, {**data, **parsed}, "config")
 
 
 def save_config(cfg: RunConfig, path) -> None:

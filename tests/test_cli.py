@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,19 @@ from pacok import storage
 from pacok.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _overflow_repro(tmp_path):
+    """The shipped 2-D physics at 32^2 and 16x its dt: the fields grow to
+    ~1e114 while still finite, and the trace energy overflows first."""
+    data = json.loads((CONFIGS / "run2d.json").read_text())
+    data["grid"]["points"] = [32, 32]
+    data["stepper"]["dt"] = 2e-3
+    data["stepper"]["trace_every"] = 1
+    data["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 @pytest.fixture
@@ -133,20 +148,35 @@ class TestRunAndFriends:
         assert "divergence" in capsys.readouterr().err
 
     def test_overflowing_energy_exits_two(self, tmp_path, capsys):
-        # the shipped 2-D physics at 32^2 and 16x its dt: the fields grow to
-        # ~1e114 while still finite, and the trace energy overflows first
-        import json
         import numpy as np
-        data = json.loads((CONFIGS / "run2d.json").read_text())
-        data["grid"]["points"] = [32, 32]
-        data["stepper"]["dt"] = 2e-3
-        data["stepper"]["trace_every"] = 1
-        data["output_dir"] = str(tmp_path / "out")
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(data))
+        path = _overflow_repro(tmp_path)
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(path)]) == 2
         assert "divergence" in capsys.readouterr().err
+
+    def test_divergence_prints_only_its_message(self, tmp_path, capsys):
+        # numpy's RuntimeWarnings as errors and no errstate of the test's own
+        path = _overflow_repro(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("divergence:")
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda data: data["params"].update(gama=1500.0), "'gama'"),
+        (lambda data: data.pop("stepper"), "'stepper'"),
+        (lambda data: data.update(rescale_mass=False), "'rescale_mass'"),
+    ], ids=["unknown-key", "missing-section", "unknown-top-level-key"])
+    def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
+        data = json.loads((CONFIGS / "run2d.json").read_text())
+        data["grid"]["points"] = [32, 32]
+        data["stepper"]["max_steps"] = 0  # should the edit be ignored, run briefly
+        edit(data)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
     def test_restart_from_checkpoint(self, run_config, tmp_path, capsys):
         import json
@@ -176,7 +206,7 @@ class TestRunAndFriends:
         assert len(list(tmp_path.glob("plane_*.png"))) == 8
 
     def test_default_config_factory_round_trips(self, tmp_path):
-        cfg = storage.default_2d_config(output_dir=str(tmp_path / "out"))
+        cfg = storage.load_config(CONFIGS / "run2d.json")
         assert cfg.params.gamma == 1500.0 and cfg.params.epsilon == 0.05
         assert cfg.stepper.dt == 1.25e-4 and cfg.grid.points == (256, 256)
         storage.save_config(cfg, tmp_path / "cfg.json")

@@ -1,10 +1,12 @@
 """Convex splitting, step/run control, stability, screening diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pacok as pk
-from pacok import analysis, initcond
+from pacok import analysis, dynamics, initcond
 from pacok.dynamics import SPLIT, _Stepper, amplification_matrix
 from pacok.energy import interpolant_pair
 from pacok.errors import DivergenceError
@@ -125,6 +127,22 @@ class TestStep:
         assert new.step == 1
         assert new.time == pytest.approx(CFG.dt)
 
+    def test_carries_the_energy_of_the_new_state(self):
+        new = pk.step(_liposome_state(), PARAMS, CFG)
+        assert new.last_energy.total == pk.total_energy(new.u, new.v, PARAMS).total
+
+    def test_equals_first_step_of_run(self):
+        state = _liposome_state(noise=0.01)
+        new = pk.step(state, PARAMS, CFG)
+        traced = []
+        cfg = replace(CFG, max_steps=3, stop_tol=np.inf, trace_every=1)
+        pk.run(state, PARAMS, cfg, on_trace=lambda s, r: traced.append(s))
+        first = traced[1]
+        assert np.array_equal(new.u.values, first.u.values)
+        assert np.array_equal(new.v.values, first.v.values)
+        assert (new.step, new.time) == (first.step, first.time)
+        assert new.last_energy == first.last_energy
+
 
 def _oracle_advance(grid, params, cfg, u, v):
     """The earlier 8-FFT update (transforms of u and of the force taken
@@ -189,20 +207,10 @@ class TestWorkspaceStepper:
         assert np.max(np.abs(new[0] - old[0])) <= 1e-12
         assert np.max(np.abs(new[1] - old[1])) <= 1e-12
 
-    def test_advance_without_buffers_returns_fresh_arrays(self):
-        state = _liposome_state()
-        stepper = _Stepper(GRID, PARAMS, CFG)
-        u, v = state.u.values.copy(), state.v.values.copy()
-        first = stepper.advance(u, v)
-        second = stepper.advance(u, v)
-        assert np.array_equal(u, state.u.values) and np.array_equal(v, state.v.values)
-        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
-        assert not np.shares_memory(first[0], second[0])
-        assert not np.shares_memory(first[1], second[1])
-
     def test_six_ffts_per_step(self, fft_calls):
         state = _liposome_state()
-        _Stepper(GRID, PARAMS, CFG).advance(state.u.values, state.v.values)
+        out = (np.empty(GRID.shape), np.empty(GRID.shape))
+        _Stepper(GRID, PARAMS, CFG).advance(state.u.values, state.v.values, *out)
         assert sorted(fft_calls) == ["irfftn"] * 3 + ["rfftn"] * 3
         fft_calls.clear()
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=5, stop_tol=np.inf)
@@ -282,6 +290,31 @@ class TestRun:
         assert traced == [0, 4, 8, 10]
         assert checked == [0, 5, 10]
         assert result.state.last_energy is not None
+
+    @pytest.mark.parametrize("max_steps,traced,calls", [(12, True, 12 // 4 + 1),
+                                                         (12, False, 1),
+                                                         (0, True, 1)])
+    def test_one_energy_per_emitted_state(self, monkeypatch, max_steps, traced, calls):
+        energies = []
+
+        def counted(*args, **kwargs):
+            energies.append(original(*args, **kwargs))
+            return energies[-1]
+
+        original = dynamics.total_energy
+        monkeypatch.setattr(dynamics, "total_energy", counted)
+        cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=max_steps,
+                               stop_tol=np.inf, trace_every=4, checkpoint_every=3)
+        rows = []
+        callbacks = dict(on_trace=lambda s, r: rows.append((s.step, r)),
+                         on_checkpoint=lambda s: None) if traced else {}
+        result = pk.run(_liposome_state(), PARAMS, cfg, **callbacks)
+        assert len(energies) == calls
+        assert result.state.last_energy is energies[-1]
+        if traced:
+            assert [step for step, _ in rows] == list(range(0, max_steps + 1, 4))
+            assert np.isnan(rows[0][1])
+        assert (result.residual == np.inf) == (max_steps == 0)
 
     def test_max_steps_zero_emits_initial_only(self):
         state = _liposome_state()
