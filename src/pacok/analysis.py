@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import DegenerateFitError, NoCrossingError
 from .grid import Field, translate
@@ -13,6 +14,7 @@ from .grid import Field, translate
 # arising from rim penalties, liposome curvature and 2-D curvature
 _P_RANGE = (0.25, 3.0)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _moment_coefficients(marginal: np.ndarray, spacing: float) -> tuple[np.ndarr
     return coef, k
 
 
-def _dipole_component(coef: np.ndarray, k: np.ndarray, shift: float) -> float:
+def _dipole_component(shift: float, coef: np.ndarray, k: np.ndarray) -> float:
     return float(np.sum(np.real(coef * np.exp(1j * k * shift))))
 
 
@@ -115,9 +117,10 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
     Requires int w = 0 (within tol * int|w|). The first moment along each
     axis depends only on that axis' shift, so each component is solved
     independently: bracket a sign change of the moment over the grid shifts,
-    then bisect with sub-cell Fourier phase shifts. Moments use box-centered
-    coordinates. A marginal with no sign change is identically zero to
-    roundoff (any shift works; 0 is returned for that axis).
+    then find its root with Brent's method on sub-cell Fourier phase shifts.
+    Moments use box-centered coordinates. An axis whose moment is zero to
+    roundoff at shift 0, or at every grid shift, keeps shift 0; a moment with
+    no sign change over the grid shifts raises ValueError.
     """
     grid = w.grid
     total = abs(float(w.values.sum())) * grid.cell_volume
@@ -132,46 +135,24 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
         n = grid.points[axis]
         spacing = grid.spacing[axis]
         length = grid.lengths[axis]
-        marginal = _axis_marginal(w, axis)
-        coef, k = _moment_coefficients(marginal, spacing)
-
-        def moment(t, _c=coef, _k=k):
-            return _dipole_component(_c, _k, t)
-
-        samples = np.array([moment(i * spacing) for i in range(n)])
+        coef, k = _moment_coefficients(_axis_marginal(w, axis), spacing)
+        samples = np.real(np.exp(1j * np.outer(np.arange(n) * spacing, k)) @ coef)
         level = float(np.max(np.abs(samples)))
-        if level <= 1e-14 * scale * length:
+        if level <= 1e-14 * scale * length or abs(samples[0]) <= 1e-13 * level:
             shifts.append(0.0)
             continue
-        if abs(samples[0]) <= 1e-13 * level:
-            shifts.append(0.0)
-            continue
-        idx = None
-        for i in range(n):
-            if samples[i] == 0.0:
-                idx = None
-                shifts.append(i * spacing)
-                break
-            if samples[i] * samples[(i + 1) % n] < 0:
-                idx = i
-                break
-        else:
+        # signs, not products of samples: a product of two tiny moments underflows to 0
+        sign = np.sign(samples)
+        hits = np.flatnonzero((sign == 0.0) | (sign * np.roll(sign, -1) < 0))
+        if hits.size == 0:
             raise ValueError("marginal moment has no sign change")
-        if idx is None:
+        i = int(hits[0])
+        if sign[i] == 0.0:
+            shifts.append(i * spacing)
             continue
-        lo, hi = idx * spacing, (idx + 1) * spacing
-        f_lo = samples[idx]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f_mid = moment(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        shifts.append(0.5 * (lo + hi) % length)
+        root = optimize.brentq(_dipole_component, i * spacing, (i + 1) * spacing,
+                               args=(coef, k), xtol=_EPS * length, rtol=4.0 * _EPS)
+        shifts.append(root % length)
 
     return tuple(shifts), translate(w, shifts)
 
@@ -182,7 +163,7 @@ def dipole_moment(w: Field) -> np.ndarray:
     for axis in range(w.grid.dim):
         marginal = _axis_marginal(w, axis)
         coef, k = _moment_coefficients(marginal, w.grid.spacing[axis])
-        out.append(_dipole_component(coef, k, 0.0))
+        out.append(_dipole_component(0.0, coef, k))
     return np.array(out)
 
 
@@ -197,28 +178,15 @@ class ThicknessProbe:
 
 def _interp_along_ray(field: Field, origin, direction, t_values) -> np.ndarray:
     """Multilinear periodic interpolation of samples along origin + t*direction."""
+    # imported here, not at module level: scipy.ndimage adds ~0.06 s to the
+    # start-up of every process that imports pacok, and only this probe uses it
+    from scipy import ndimage
+
     grid = field.grid
-    values = field.values
-    coords = [origin[a] + t_values * direction[a] for a in range(grid.dim)]
-    idx = []
-    frac = []
-    for axis, c in enumerate(coords):
-        h = grid.spacing[axis]
-        pos = np.mod(c, grid.lengths[axis]) / h
-        base = np.floor(pos).astype(int) % grid.points[axis]
-        idx.append(base)
-        frac.append(pos - np.floor(pos))
-    out = np.zeros_like(t_values, dtype=np.float64)
-    for corner in range(2**grid.dim):
-        weight = np.ones_like(out)
-        sel = []
-        for axis in range(grid.dim):
-            bit = (corner >> axis) & 1
-            sel.append((idx[axis] + bit) % grid.points[axis])
-            weight = weight * (frac[axis] if bit else 1.0 - frac[axis])
-        sel_arrays = tuple(sel[grid.dim - 1 - a] for a in range(grid.dim))
-        out += weight * values[sel_arrays]
-    return out
+    # array axes run (z, y, x), the reverse of the grid axes
+    cells = [(origin[a] + t_values * direction[a]) / grid.spacing[a]
+             for a in reversed(range(grid.dim))]
+    return ndimage.map_coordinates(field.values, cells, order=1, mode="grid-wrap")
 
 
 def _crossings(t_values, samples, level):

@@ -153,7 +153,7 @@ def _cmd_radial(args) -> int:
     if args.asymptotic:
         pred = radial.asymptotic_liposome(args.m, args.zeta, args.gamma, args.n,
                                           equal_mass=args.equal_mass)
-        leading = (9.0 * args.gamma * (args.zeta + 1.0) / 8.0) ** (1.0 / 3.0)
+        leading = radial.branch_bilayer(args.zeta) * args.gamma ** (1.0 / 3.0)
         print(f"E/m {_fmt(pred.energy_per_mass)}")
         print(f"E/m leading {_fmt(leading)}")
         print(f"thickness_inner {_fmt(pred.thickness_inner)}")

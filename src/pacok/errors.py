@@ -14,7 +14,7 @@ class GridMismatchError(PacokError, ValueError):
 
 
 class DivergenceError(PacokError, RuntimeError):
-    """Time stepping produced non-finite samples."""
+    """Time stepping produced non-finite samples or a non-finite (overflowing) energy."""
 
     def __init__(self, step: int, message: str | None = None):
         self.step = step

@@ -591,7 +591,7 @@ def asymptotic_liposome(
         raise ValueError("n must be 2 or 3")
     zp1 = zeta + 1.0
     thickness = (3.0 / (gamma * zp1)) ** (1.0 / 3.0)
-    leading = (9.0 * gamma * zp1 / 8.0) ** (1.0 / 3.0)
+    leading = branch_bilayer(zeta) * gamma ** (1.0 / 3.0)
     if n == 2:
         mid = m / _FOUR_PI * (gamma * zp1 / 3.0) ** (1.0 / 3.0)
         vshift = _TWO_PI * zeta * (zeta + 2.0) / (gamma * m * zp1)
@@ -692,28 +692,6 @@ def _zeta2_equation(z: float) -> float:
     )
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    f_lo, f_hi = fn(lo), fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class MorphologyBranches:
     zeta0: float
@@ -727,9 +705,10 @@ class MorphologyBranches:
 
 @lru_cache(maxsize=1)
 def thresholds() -> MorphologyBranches:
-    """Transition values of zeta, from their defining equations by bisection."""
-    zeta1 = _bisect(_zeta1_equation, 1.5, 2.2)
-    zeta2 = _bisect(_zeta2_equation, 3.0, 4.2)
+    """Transition values of zeta, roots of their defining equations (Brent's method)."""
+    rtol = 4.0 * np.finfo(float).eps
+    zeta1 = _sciopt.brentq(_zeta1_equation, 1.5, 2.2, xtol=1e-300, rtol=rtol)
+    zeta2 = _sciopt.brentq(_zeta2_equation, 3.0, 4.2, xtol=1e-300, rtol=rtol)
     return MorphologyBranches(zeta0=ZETA0, zeta1=zeta1, zeta2=zeta2)
 
 

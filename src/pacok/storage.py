@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -188,18 +189,25 @@ def load_config(path) -> RunConfig:
 
 
 def write_checkpoint(path, state: RunState) -> None:
+    """Write ``state`` to ``path`` through a temporary sibling renamed into place.
+
+    A write that fails leaves any earlier file at ``path`` untouched.
+    """
+    path = Path(path)
     grid = state.u.grid
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
-    blob += struct.pack("<I", grid.dim)
-    blob += struct.pack(f"<{grid.dim}I", *grid.points)
-    blob += struct.pack(f"<{grid.dim}d", *grid.lengths)
-    blob += struct.pack("<d", state.time)
-    blob += struct.pack("<Q", state.step)
-    blob += state.u.values.astype("<f8").tobytes()
-    blob += state.v.values.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    dim = grid.dim
+    header = struct.pack(f"<4sII{dim}I{dim}ddQ", MAGIC, VERSION, dim, *grid.points,
+                         *grid.lengths, state.time, state.step)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.write(header)
+            out.write(np.ascontiguousarray(state.u.values, dtype="<f8"))
+            out.write(np.ascontiguousarray(state.v.values, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> RunState:

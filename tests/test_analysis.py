@@ -1,11 +1,15 @@
 """Curve fitting, dipole-free translation, layer-thickness probes."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import pacok as pk
 from pacok import analysis
 from pacok.errors import DegenerateFitError, NoCrossingError
+from pacok.grid import translate
 
 from conftest import band_limited, radial_seed
 
@@ -85,6 +89,35 @@ class TestZeroDipoleShift:
         with pytest.raises(ValueError, match="mass"):
             pk.zero_dipole_shift(pk.Field.full(grid, 0.3))
 
+    def test_root_in_wrap_around_cell(self):
+        # the moment ~ cos(2 pi (t - 0.24)) has roots 0.49 and 0.99; the second
+        # lies in the last cell [31/32, 1), so the samples at the last grid shift
+        # and at 0 have opposite signs, and the first root is the one returned
+        grid = pk.GridSpec((32, 32), (1.0, 1.0))
+        w = pk.Field.from_function(grid, lambda x, y: np.sin(2 * np.pi * (x - 0.24)) + 0.0 * y)
+        first, last = (analysis.dipole_moment(translate(w, (t, 0.0)))[0] for t in (0.0, 31 / 32))
+        assert first * last < 0
+        shift, moved = pk.zero_dipole_shift(w)
+        assert shift[0] == pytest.approx(0.49, abs=1e-12)
+        assert np.max(np.abs(analysis.dipole_moment(moved))) < 1e-12
+
+    def test_exact_zero_sample_is_the_shift(self):
+        # the x-moment is -A/(2 pi) cos(2 pi t) with A/(2 pi) ~ 3e-308; at the
+        # quarter shifts it times cos(pi/2) ~ 6e-17 underflows to exactly 0,
+        # so the sample at grid shift 1 is an exact zero, and a true root
+        grid = pk.GridSpec((4, 4), (1.0, 1.0))
+        w = pk.Field(grid, np.tile([0.0, 2e-307, 0.0, -2e-307], (4, 1)))
+        shift, _ = pk.zero_dipole_shift(w)
+        assert shift == (0.25, 0.0)
+
+    def test_tiny_amplitude_gives_same_shift(self, rng):
+        # products of neighbouring moment samples ~1e-340 underflow to 0
+        grid = pk.GridSpec((32, 32), (2.0, 1.0))
+        w = band_limited(grid, rng, max_mode=7)
+        shift, _ = pk.zero_dipole_shift(w)
+        tiny, _ = pk.zero_dipole_shift(pk.Field(grid, 1e-170 * w.values))
+        assert np.allclose(tiny, shift, rtol=0.0, atol=1e-12)
+
     def test_identically_zero_marginal_flagged_ok(self):
         # odd in y only: the x-marginal vanishes identically, any shift works
         grid = pk.GridSpec((32, 32), (1.0, 1.0))
@@ -93,7 +126,45 @@ class TestZeroDipoleShift:
         assert shift[0] == 0.0
 
 
+def _multilinear(values, spacing, point):
+    """Periodic multilinear interpolant of samples (array axes z, y, x) at one point (x first)."""
+    cells = [c / h for c, h in zip(point, spacing)]
+    base = [math.floor(c) for c in cells]
+    counts = values.shape[::-1]
+    total = 0.0
+    for corner in itertools.product((0, 1), repeat=len(cells)):
+        weight = math.prod(c - b if bit else 1.0 - (c - b) for c, b, bit in zip(cells, base, corner))
+        node = tuple((b + bit) % n for b, bit, n in zip(base, corner, counts))
+        total += weight * values[node[::-1]]
+    return total
+
+
 class TestMeasureThickness:
+    @pytest.mark.parametrize("shape, lengths, origin, direction", [
+        ((32, 24), (2.0, 1.5), (-2.7, -0.4), (0.8, -0.6)),
+        ((16, 12, 8), (1.0, 1.2, 0.7), (-1.3, -2.9, -0.05), (-0.48, 0.6, 0.64)),
+    ])
+    def test_ray_interpolation_wraps(self, rng, shape, lengths, origin, direction):
+        # rays from negative coordinates, several box lengths long
+        grid = pk.GridSpec(shape, lengths)
+        field = pk.Field(grid, rng.standard_normal(grid.shape))
+        t_values = np.linspace(0.0, 4.0, 57)
+        got = analysis._interp_along_ray(field, origin, direction, t_values)
+        want = [_multilinear(field.values, grid.spacing,
+                             [o + t * d for o, d in zip(origin, direction)]) for t in t_values]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_origin_moved_by_box_lengths(self):
+        grid = pk.GridSpec((256, 32), (2.0, 1.0))
+        spec = pk.BilayerSpec(
+            shape=pk.Slab(center=(1.0, 0.5), normal=(1.0, 0.0), half_thickness=0.15),
+            epsilon=0.02, zeta=1.0)
+        u, v = pk.build_bilayer(spec, grid)
+        home = pk.measure_thickness(u, v, origin=(1.0, 0.5), direction=(1.0, 0.3), length=0.8)
+        away = pk.measure_thickness(u, v, origin=(-3.0, -1.5), direction=(1.0, 0.3), length=0.8)
+        assert np.allclose(away.crossings_u, home.crossings_u, rtol=0.0, atol=1e-12)
+        assert np.allclose(away.crossings_uv, home.crossings_uv, rtol=0.0, atol=1e-12)
+
     def test_rasterized_candidate_within_one_cell(self):
         cand = pk.optimize_liposome(1.0, 1.0, 1500.0, 2)
         grid = pk.GridSpec((256, 256), (2.6, 2.6))

@@ -322,6 +322,13 @@ class TestMorphology:
         assert th.zeta1 == pytest.approx(1.81696, abs=1e-4)
         assert th.zeta2 == pytest.approx(3.64572, abs=1e-4)
 
+    def test_threshold_roots_to_machine_precision(self):
+        # roots of the zeta1 and zeta2 equations solved to 40 digits with
+        # mpmath.findroot, rounded to double
+        th = pk.thresholds()
+        assert th.zeta1 == pytest.approx(1.8169605355365108, rel=1e-14)
+        assert th.zeta2 == pytest.approx(3.6457216187201062, rel=1e-14)
+
     def test_branch_continuity_at_thresholds(self):
         th = pk.thresholds()
         assert abs(radial.branch_bilayer(th.zeta1) - radial.branch_cylinder(th.zeta1)) < 1e-10

@@ -1,5 +1,6 @@
 """Config round-trips, checkpoint binary format, trace CSV, PNG rendering."""
 
+import signal
 import struct
 import zlib
 
@@ -127,6 +128,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(UnsupportedVersionError):
             storage.read_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, rng, tmp_path):
+        # a file-size limit of half a checkpoint makes the write fail partway,
+        # as a full disk would
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "state.okpf"
+        storage.write_checkpoint(path, _state(rng))
+        before = path.read_bytes()
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, limits[1]))
+        try:
+            with pytest.raises(OSError):
+                storage.write_checkpoint(path, _state(rng, step=18))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.okpf"]
 
     def test_trailing_garbage_rejected(self, rng, tmp_path):
         state = _state(rng)
