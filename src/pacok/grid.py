@@ -13,6 +13,7 @@ Arrays are stored C-ordered with x as the fastest axis, i.e. a field on an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +31,7 @@ class GridSpec:
     points : tuple of int
         Nodes per axis (N_x, N_y[, N_z]); each even and >= 4.
     lengths : tuple of float
-        Box edge lengths (L_x, L_y[, L_z]); each > 0.
+        Box edge lengths (L_x, L_y[, L_z]); each finite and > 0.
     """
 
     points: tuple[int, ...]
@@ -47,8 +48,8 @@ class GridSpec:
             raise ValueError("points and lengths must have the same dimension")
         if any(n < 4 or n % 2 for n in points):
             raise ValueError(f"point counts must be even and >= 4, got {points}")
-        if any(length <= 0 for length in lengths):
-            raise ValueError(f"box lengths must be positive, got {lengths}")
+        if not all(0 < length < math.inf for length in lengths):
+            raise ValueError(f"box lengths must be finite and positive, got {lengths}")
 
     @property
     def dim(self) -> int:
@@ -69,7 +70,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.points))
+        return math.prod(self.points)  # exact: np.prod wraps at 2**63
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis (0 = x)."""

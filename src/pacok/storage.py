@@ -1,15 +1,16 @@
 """Run configuration files, binary checkpoints, CSV traces and PNG rendering.
 
-Checkpoint layout (little-endian): magic ``OKPF``, version u32, dim u32,
-per-axis counts u32, per-axis lengths f64, time f64, step u64, then the u
-samples and the v samples as f64, row-major with x fastest. Write-then-read
-is bit exact.
+Checkpoint layout (little-endian), defined once by ``_PREFIX`` and
+``_grid_header``: magic ``OKPF``, version u32, dim u32, per-axis counts u32,
+per-axis lengths f64, time f64, step u64, then the u samples and the v
+samples as f64, row-major with x fastest. Write-then-read is bit exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import zlib
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dynamics import RunState, StepperConfig
 from .energy import EnergyBreakdown, PhysParams
-from .errors import CorruptCheckpointError, UnsupportedVersionError
+from .errors import CorruptCheckpointError, InvalidFieldError, UnsupportedVersionError
 from .grid import Field, GridSpec
 from . import initcond
 
@@ -65,6 +66,7 @@ class RunConfig:
     rescale_masses: bool = True
 
 
+# One tag table per tagged union; encoding and decoding both read it.
 _SHAPE_TAGS = {
     "ball": initcond.Ball,
     "shell": initcond.Shell,
@@ -73,19 +75,22 @@ _SHAPE_TAGS = {
     "gyroid": initcond.Gyroid,
     "curve_bilayer": initcond.CurveBilayer,
 }
+_PERTURB_KINDS = {"noise": NoisePerturbation, "hole": HolePerturbation}
 
 
-def _tag_of(obj) -> str:
-    for tag, cls in _SHAPE_TAGS.items():
-        if isinstance(obj, cls):
-            return tag
-    raise TypeError(f"unknown shape {type(obj).__name__}")
+def _tagged(key: str, tags: dict, obj) -> dict:
+    """``obj``'s fields after ``key``: the tag of its class in ``tags``."""
+    tag = {cls: tag for tag, cls in tags.items()}[type(obj)]
+    return {key: tag, **dataclasses.asdict(obj)}
 
 
-def _jsonify(value):
-    if isinstance(value, tuple):
-        return [_jsonify(item) for item in value]
-    return value
+def _untagged(key: str, tags: dict, data: dict, where: str):
+    """Inverse of :func:`_tagged`; JSON lists become tuples."""
+    data = {k: _tuplify(v) for k, v in data.items()}
+    tag = data.pop(key, None)
+    if tag not in tags:
+        raise ValueError(f"unknown {key} {tag!r} in {where}")
+    return _build(tags[tag], data, where)
 
 
 def _tuplify(value):
@@ -95,31 +100,15 @@ def _tuplify(value):
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {
-        "params": {k: v for k, v in dataclasses.asdict(cfg.params).items()},
-        "stepper": dataclasses.asdict(cfg.stepper),
-        "grid": {"points": list(cfg.grid.points), "lengths": list(cfg.grid.lengths)},
-        "output_dir": cfg.output_dir,
-        "rescale_masses": cfg.rescale_masses,
-    }
-    if isinstance(cfg.init, str):
-        out["init"] = {"checkpoint": cfg.init}
+    """JSON-ready mapping of ``cfg``; ``init`` and ``perturb`` come last."""
+    out = dataclasses.asdict(cfg)
+    init = out.pop("init")
+    del out["perturb"]  # re-added after init, the key order of every saved config
+    if isinstance(init, str):
+        out["init"] = {"checkpoint": init}
     else:
-        spec = cfg.init
-        out["init"] = {
-            "shape": {"variant": _tag_of(spec.shape),
-                      **{k: _jsonify(v) for k, v in dataclasses.asdict(spec.shape).items()}},
-            "epsilon": spec.epsilon,
-            "u_half_thickness": spec.u_half_thickness,
-            "v_thickness": spec.v_thickness,
-            "zeta": spec.zeta,
-        }
-    if cfg.perturb is None:
-        out["perturb"] = None
-    elif isinstance(cfg.perturb, NoisePerturbation):
-        out["perturb"] = {"kind": "noise", "amplitude": cfg.perturb.amplitude, "seed": cfg.perturb.seed}
-    else:
-        out["perturb"] = {"kind": "hole", "center": _jsonify(cfg.perturb.center), "radius": cfg.perturb.radius}
+        out["init"] = {**init, "shape": _tagged("variant", _SHAPE_TAGS, cfg.init.shape)}
+    out["perturb"] = None if cfg.perturb is None else _tagged("kind", _PERTURB_KINDS, cfg.perturb)
     return out
 
 
@@ -156,21 +145,12 @@ def config_from_dict(data: dict) -> RunConfig:
     if "checkpoint" in init_data:
         init = init_data["checkpoint"]
     else:
-        shape_data = dict(_section(init_data, "shape", "config.init"))
-        variant = shape_data.pop("variant", None)
-        if variant not in _SHAPE_TAGS:
-            raise ValueError(f"unknown shape variant {variant!r} in config.init.shape")
-        shape = _build(_SHAPE_TAGS[variant], {k: _tuplify(v) for k, v in shape_data.items()},
-                       "config.init.shape")
+        shape_data = _section(init_data, "shape", "config.init")
+        shape = _untagged("variant", _SHAPE_TAGS, shape_data, "config.init.shape")
         init = _build(initcond.BilayerSpec, {**init_data, "shape": shape}, "config.init")
     perturb = None
     if data.get("perturb") is not None:
-        perturb_data = {k: _tuplify(v) for k, v in _section(data, "perturb").items()}
-        kinds = {"noise": NoisePerturbation, "hole": HolePerturbation}
-        kind = perturb_data.pop("kind", None)
-        if kind not in kinds:
-            raise ValueError(f"unknown perturbation kind {kind!r} in config.perturb")
-        perturb = _build(kinds[kind], perturb_data, "config.perturb")
+        perturb = _untagged("kind", _PERTURB_KINDS, _section(data, "perturb"), "config.perturb")
     parsed = dict(params=params, stepper=stepper, grid=grid, init=init, perturb=perturb)
     return _build(RunConfig, {**data, **parsed}, "config")
 
@@ -188,6 +168,14 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+_PREFIX = struct.Struct("<4sII")  # magic, version, dim
+
+
+def _grid_header(dim: int) -> struct.Struct:
+    """The header after the prefix: counts, lengths, time and step."""
+    return struct.Struct(f"<{dim}I{dim}ddQ")
+
+
 def write_checkpoint(path, state: RunState) -> None:
     """Write ``state`` to ``path`` through a temporary sibling renamed into place.
 
@@ -195,9 +183,8 @@ def write_checkpoint(path, state: RunState) -> None:
     """
     path = Path(path)
     grid = state.u.grid
-    dim = grid.dim
-    header = struct.pack(f"<4sII{dim}I{dim}ddQ", MAGIC, VERSION, dim, *grid.points,
-                         *grid.lengths, state.time, state.step)
+    header = _PREFIX.pack(MAGIC, VERSION, grid.dim) + _grid_header(grid.dim).pack(
+        *grid.points, *grid.lengths, state.time, state.step)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as out:
@@ -211,44 +198,48 @@ def write_checkpoint(path, state: RunState) -> None:
 
 
 def read_checkpoint(path) -> RunState:
-    raw = Path(path).read_bytes()
+    """Read a checkpoint; the file size is checked against its header before
+    the samples are read straight into their arrays."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
 
-    def need(offset: int, count: int, what: str) -> bytes:
-        if len(raw) < offset + count:
-            raise CorruptCheckpointError(len(raw), f"file truncated while reading {what}")
-        return raw[offset : offset + count]
+        def read(layout: struct.Struct, what: str) -> tuple:
+            raw = handle.read(layout.size)
+            if len(raw) < layout.size:
+                raise CorruptCheckpointError(size, f"file truncated while reading {what}")
+            return layout.unpack(raw)
 
-    if need(0, 4, "magic") != MAGIC:
-        raise CorruptCheckpointError(0, f"bad magic {raw[:4]!r}")
-    (version,) = struct.unpack("<I", need(4, 4, "version"))
-    if version != VERSION:
-        raise UnsupportedVersionError(4, f"unsupported checkpoint version {version}")
-    (dim,) = struct.unpack("<I", need(8, 4, "dimension"))
-    if dim not in (2, 3):
-        raise CorruptCheckpointError(8, f"bad dimension {dim}")
-    offset = 12
-    points = struct.unpack(f"<{dim}I", need(offset, 4 * dim, "point counts"))
-    offset += 4 * dim
-    lengths = struct.unpack(f"<{dim}d", need(offset, 8 * dim, "box lengths"))
-    offset += 8 * dim
-    (time,) = struct.unpack("<d", need(offset, 8, "time"))
-    offset += 8
-    (step,) = struct.unpack("<Q", need(offset, 8, "step"))
-    offset += 8
+        magic, version, dim = read(_PREFIX, "the header")
+        if magic != MAGIC:
+            raise CorruptCheckpointError(0, f"bad magic {magic!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(4, f"unsupported checkpoint version {version}")
+        if dim not in (2, 3):
+            raise CorruptCheckpointError(8, f"bad dimension {dim}")
+        header = _grid_header(dim)
+        *sizes, time, step = read(header, "the grid header")
+        try:
+            grid = GridSpec(sizes[:dim], sizes[dim:])
+        except ValueError as exc:
+            raise CorruptCheckpointError(12, f"bad grid header: {exc}") from exc
+        start = _PREFIX.size + header.size
+        if not math.isfinite(time):  # time and step are the header's last 16 bytes
+            raise CorruptCheckpointError(start - 16, f"non-finite time {time}")
+        nbytes = 8 * grid.size
+        end = start + 2 * nbytes
+        if size < end:
+            which = "u" if size < end - nbytes else "v"
+            raise CorruptCheckpointError(size, f"file truncated while reading {which} samples")
+        if size > end:
+            raise CorruptCheckpointError(end, f"{size - end} trailing bytes")
+        u, v = np.empty(grid.shape, "<f8"), np.empty(grid.shape, "<f8")
+        if handle.readinto(u) + handle.readinto(v) != 2 * nbytes:
+            raise CorruptCheckpointError(handle.tell(), "file shrank while being read")
     try:
-        grid = GridSpec(points, lengths)
-    except ValueError as exc:
-        raise CorruptCheckpointError(12, f"bad grid header: {exc}") from exc
-    count = grid.size
-    u_bytes = need(offset, 8 * count, "u samples")
-    offset += 8 * count
-    v_bytes = need(offset, 8 * count, "v samples")
-    offset += 8 * count
-    if len(raw) != offset:
-        raise CorruptCheckpointError(offset, f"{len(raw) - offset} trailing bytes")
-    u = np.frombuffer(u_bytes, dtype="<f8").reshape(grid.shape).copy()
-    v = np.frombuffer(v_bytes, dtype="<f8").reshape(grid.shape).copy()
-    return RunState(u=Field(grid, u), v=Field(grid, v), time=time, step=step)
+        return RunState(u=Field(grid, u), v=Field(grid, v), time=time, step=step)
+    except InvalidFieldError:
+        first = int(np.argmin(np.isfinite(np.concatenate((u.ravel(), v.ravel())))))
+        raise CorruptCheckpointError(start + 8 * first, "non-finite sample") from None
 
 
 # ---------------------------------------------------------------------------

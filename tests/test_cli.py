@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import struct
 import warnings
 from pathlib import Path
 
@@ -107,6 +108,18 @@ class TestRunAndFriends:
         assert (out_dir / "ckpt_00000000.okpf").exists()
         assert (out_dir / "ckpt_final.okpf").exists()
 
+    def test_non_finite_checkpoint_length_exits_three(self, run_config, capsys, tmp_path):
+        path, cfg = run_config
+        assert main(["run", "--config", str(path)]) == 0
+        final = tmp_path / "out" / "ckpt_final.okpf"
+        raw = bytearray(final.read_bytes())
+        raw[20:28] = struct.pack("<d", float("nan"))  # L_x, after magic/version/dim/counts
+        final.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["energy", "--config", str(path), "--checkpoint", str(final)]) == 3
+        captured = capsys.readouterr()
+        assert "bad grid header" in captured.err and captured.out == ""
+
     def test_short_run_then_energy_render_dipole(self, run_config, capsys, tmp_path):
         path, cfg = run_config
         data = storage.config_to_dict(cfg)
@@ -166,7 +179,8 @@ class TestRunAndFriends:
         (lambda data: data["params"].update(gama=1500.0), "'gama'"),
         (lambda data: data.pop("stepper"), "'stepper'"),
         (lambda data: data.update(rescale_mass=False), "'rescale_mass'"),
-    ], ids=["unknown-key", "missing-section", "unknown-top-level-key"])
+        (lambda data: data["grid"].update(lengths=[float("nan"), 2.6]), "box lengths"),
+    ], ids=["unknown-key", "missing-section", "unknown-top-level-key", "non-finite-length"])
     def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
         data = json.loads((CONFIGS / "run2d.json").read_text())
         data["grid"]["points"] = [32, 32]

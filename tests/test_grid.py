@@ -30,6 +30,13 @@ class TestGridSpec:
             pk.GridSpec((8, 8), (1.0, -2.0))
         with pytest.raises(ValueError):
             pk.GridSpec((8, 8), (1.0,))
+        for length in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                pk.GridSpec((8, 8), (length, 1.0))
+
+    def test_size_is_exact(self):
+        # the product 2**64 wraps to 0 in int64 arithmetic
+        assert pk.GridSpec((2**22, 2**22, 2**20), (1.0, 1.0, 1.0)).size == 2**64
 
     def test_field_validation(self):
         with pytest.raises(InvalidFieldError):

@@ -2,10 +2,12 @@
 
 import signal
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pacok as pk
 from pacok import storage
@@ -13,6 +15,10 @@ from pacok.errors import CorruptCheckpointError, UnsupportedVersionError
 
 
 GRID = pk.GridSpec((32, 32), (2.6, 2.6))
+
+# few examples with a fixed seed keep the suite fast and its outcome stable
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def _state(rng, grid=GRID, time=0.125, step=17):
@@ -65,6 +71,49 @@ class TestConfig:
         storage.save_config(odd, path)
         assert storage.load_config(path).params.zeta == odd.params.zeta
         assert storage.load_config(path).params.gamma == odd.params.gamma
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _point(dim):
+    return st.tuples(*[_floats] * dim)
+
+
+_SHAPES = st.one_of(
+    st.builds(pk.Ball, center=_point(2), radius=_positive),
+    st.builds(pk.Shell, center=_point(3), inner_radius=_positive, outer_radius=_positive),
+    st.builds(pk.Slab, center=_point(2), normal=_point(2), half_thickness=_positive,
+              radius=st.none() | _positive),
+    st.builds(pk.Torus, center=_point(3), major_radius=_positive, minor_radius=_positive,
+              deform_factor=st.floats(1.0, 1e6)),
+    st.builds(pk.Gyroid, level=_floats, scale=st.integers(1, 4)),
+    st.builds(pk.CurveBilayer, points=st.lists(_point(2), min_size=3, max_size=6).map(tuple),
+              half_thickness=st.none() | _positive),
+)
+_PERTURBS = st.one_of(
+    st.none(),
+    st.builds(storage.NoisePerturbation, amplitude=_positive, seed=st.integers(0, 2**63)),
+    st.builds(storage.HolePerturbation, center=_point(2), radius=_positive),
+)
+
+
+class TestConfigFuzz:
+    @FUZZ
+    @given(shape=_SHAPES, perturb=_PERTURBS, epsilon=_positive, u_half=_positive,
+           v_thickness=_positive, rescale=st.booleans())
+    def test_save_load_identity(self, tmp_path, shape, perturb, epsilon, u_half,
+                                v_thickness, rescale):
+        base = _config()
+        cfg = storage.RunConfig(
+            params=base.params, stepper=base.stepper, grid=base.grid,
+            init=pk.BilayerSpec(shape=shape, epsilon=epsilon, u_half_thickness=u_half,
+                                v_thickness=v_thickness),
+            perturb=perturb, rescale_masses=rescale)
+        path = tmp_path / "fuzz.json"
+        storage.save_config(cfg, path)
+        assert storage.load_config(path) == cfg
 
 
 class TestCheckpoint:
@@ -155,6 +204,85 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CorruptCheckpointError, match="trailing"):
             storage.read_checkpoint(path)
+
+
+def _checkpoint_bytes(grid, tmp_path):
+    # lengths, time and half the samples in [1, 2), where flipping the top
+    # byte's 0x40 bit gives inf or nan
+    rng = np.random.default_rng(7)
+    state = pk.RunState(u=pk.Field(grid, rng.uniform(0.0, 2.0, grid.shape)),
+                        v=pk.Field(grid, rng.uniform(0.0, 2.0, grid.shape)),
+                        time=1.125, step=17)
+    path = tmp_path / "source.okpf"
+    storage.write_checkpoint(path, state)
+    return path.read_bytes()
+
+
+_FUZZ_GRIDS = [pk.GridSpec((8, 6), (1.5, 1.25)), pk.GridSpec((4, 6, 8), (1.0, 1.5, 1.75))]
+
+
+class TestCheckpointFuzz:
+    """Any truncation or one changed byte is refused or read back exactly."""
+
+    @pytest.mark.parametrize("grid", _FUZZ_GRIDS, ids=["2d", "3d"])
+    @FUZZ
+    @given(data=st.data())
+    def test_truncation_reports_its_size(self, tmp_path, grid, data):
+        raw = _checkpoint_bytes(grid, tmp_path)
+        cut = data.draw(st.one_of(st.integers(0, 64), st.integers(0, len(raw) - 1)))
+        path = tmp_path / "cut.okpf"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CorruptCheckpointError) as err:
+            storage.read_checkpoint(path)
+        assert err.value.offset == cut
+
+    @pytest.mark.parametrize("grid", _FUZZ_GRIDS, ids=["2d", "3d"])
+    @FUZZ
+    @given(data=st.data())
+    def test_changed_byte_refused_or_exact(self, tmp_path, grid, data):
+        raw = bytearray(_checkpoint_bytes(grid, tmp_path))
+        where = data.draw(st.one_of(st.integers(0, 64), st.integers(0, len(raw) - 1)))
+        raw[where] ^= data.draw(st.integers(1, 255))
+        path = tmp_path / "changed.okpf"
+        path.write_bytes(bytes(raw))
+        try:
+            state = storage.read_checkpoint(path)
+        except (CorruptCheckpointError, UnsupportedVersionError):
+            return
+        # accepted: the state must be exactly what the bytes say
+        storage.write_checkpoint(tmp_path / "again.okpf", state)
+        assert (tmp_path / "again.okpf").read_bytes() == bytes(raw)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where,offset", [(20, 12), (36, 36), (52, 52), (52 + 8 * 49, 52 + 8 * 49)],
+                             ids=["length", "time", "u-sample", "v-sample"])
+    def test_non_finite_value_refused(self, tmp_path, value, where, offset):
+        raw = bytearray(_checkpoint_bytes(_FUZZ_GRIDS[0], tmp_path))
+        raw[where:where + 8] = struct.pack("<d", value)
+        path = tmp_path / "non_finite.okpf"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpointError) as err:
+            storage.read_checkpoint(path)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("points", [(4096, 4096), (1024, 1024, 1024),
+                                        (2**22, 2**22, 2**20)],
+                             ids=["2d", "3d", "count-product-2**64"])
+    def test_oversized_header_allocates_nothing(self, tmp_path, points):
+        dim = len(points)
+        header = struct.pack(f"<4sII{dim}I{dim}ddQ", b"OKPF", 1, dim, *points,
+                             *(1.0,) * dim, 0.0, 0)
+        path = tmp_path / "big.okpf"
+        path.write_bytes(header + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptCheckpointError) as err:
+                storage.read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == len(header) + 64
+        assert peak < 1 << 20
 
 
 class TestTrace:
