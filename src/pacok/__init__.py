@@ -2,7 +2,7 @@
 
 The package evolves a two-phase penalized Allen-Cahn-Ohta-Kawasaki gradient
 flow on periodic grids with a Fourier spectral method, and independently
-evaluates the closed-form radial (liposome/micelle) theory: energies,
+evaluates the sharp-interface radial (liposome/micelle) theory: energies,
 stationarity conditions, large-mass asymptotics, morphology thresholds,
 curvature moduli and the transport-distance sibling model. Each side serves
 as the oracle for the other.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DegenerateFitError, NoCrossingError
 from .grid import Field, translate
@@ -122,6 +121,10 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
     roundoff at shift 0, or at every grid shift, keeps shift 0; a moment with
     no sign change over the grid shifts raises ValueError.
     """
+    # imported here, not at module level: scipy.optimize is most of the cost
+    # of `import pacok`, and stepping never calls it
+    from scipy.optimize import brentq
+
     grid = w.grid
     total = abs(float(w.values.sum())) * grid.cell_volume
     scale = float(np.abs(w.values).sum()) * grid.cell_volume
@@ -150,8 +153,8 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
         if sign[i] == 0.0:
             shifts.append(i * spacing)
             continue
-        root = optimize.brentq(_dipole_component, i * spacing, (i + 1) * spacing,
-                               args=(coef, k), xtol=_EPS * length, rtol=4.0 * _EPS)
+        root = brentq(_dipole_component, i * spacing, (i + 1) * spacing,
+                      args=(coef, k), xtol=_EPS * length, rtol=4.0 * _EPS)
         shifts.append(root % length)
 
     return tuple(shifts), translate(w, shifts)

@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -58,6 +59,41 @@ def quadrature_nonlocal(candidate: radial.RadialCandidate, nodes: int = 240) -> 
         surface = 2.0 * np.pi * r if n == 2 else 4.0 * np.pi * r * r
         total += float(np.sum(weights * phi * density * surface))
     return 0.5 * total
+
+
+def _mp_layers(candidate: radial.RadialCandidate):
+    """Radii (as mpf) and charge densities of the three layers, from the inside out."""
+    r0, r1, r2, r3 = (mp.mpf(r) for r in candidate.radii)
+    zeta = mp.mpf(candidate.zeta)
+    return [(r0, r1, -1 / zeta), (r1, r2, mp.mpf(1)), (r2, r3, -1 / zeta)]
+
+
+def _mp_charge(layers, n: int, r):
+    """Enclosed charge int_0^r rho(x) x^(n-1) dx, summed layer by layer."""
+    return sum((s * (min(r, b) ** n - a ** n) / n for a, b, s in layers if r > a), mp.mpf(0))
+
+
+def mp_nonlocal(candidate: radial.RadialCandidate, dps: int = 50):
+    """Independent oracle for the Coulombic term at ``dps`` digits:
+    N = (c_n/2) int q(r)^2 / r^(n-1) dr by mpmath quadrature over each layer."""
+    n = candidate.n
+    with mp.workdps(dps):
+        layers = _mp_layers(candidate)
+        total = sum(mp.quad(lambda r: _mp_charge(layers, n, r) ** 2 / r ** (n - 1), [a, b])
+                    for a, b, _ in layers if b > a)
+        return (mp.pi if n == 2 else 2 * mp.pi) * total
+
+
+def mp_potential(candidate: radial.RadialCandidate, r: float, dps: int = 50):
+    """Independent oracle for phi(r) at ``dps`` digits: phi(r) = int_r^R3 q(x)/x^(n-1) dx,
+    with phi = 0 outside R3, by one mpmath quadrature per interval between radii."""
+    n = candidate.n
+    with mp.workdps(dps):
+        layers = _mp_layers(candidate)
+        r = mp.mpf(r)
+        points = [r] + [x for x in (layers[0][0], *(b for _, b, _ in layers)) if x > r]
+        return sum(mp.quad(lambda x: _mp_charge(layers, n, x) / x ** (n - 1), [lo, hi])
+                   for lo, hi in zip(points, points[1:]))
 
 
 def radial_seed(candidate: radial.RadialCandidate, grid: pk.GridSpec, epsilon: float,

@@ -117,10 +117,10 @@ def test_criterion_02_radial_oracle_agreement():
     # spec's two-sided window presumed that order is attained, but the
     # m^-3/2 coefficient vanishes identically (the true decay is m^-2 with
     # dev*m^2 -> 155.19; confirmed at 50-digit precision), so the ratio is
-    # ~1.0e4 in exact arithmetic. In double precision dev(1e6) ~ 4.2e-10
-    # lies at the closed form's roundoff in E/m (~2.7e-10 at m = 1e6), so
-    # the measured ratio is lower (3.7e3 here). Asserted: the one-sided
-    # consistency reading plus tiny absolute deviations.
+    # ~1.0e4 in exact arithmetic. With the energy within ~2e-15 relative of
+    # a 50-digit quadrature, it measures 1.017e4 (dev(1e6) = 1.55e-10).
+    # Asserted: the one-sided consistency reading plus tiny absolute
+    # deviations.
     ok = ratio >= 1e3 / 3.0 and deviations[1e6] < 1e-8 and deviations[1e4] < 1e-4
     _report(2, "radial oracle agreement", ok,
             f"dev(1e4)={deviations[1e4]:.3e} dev(1e6)={deviations[1e6]:.3e} "

@@ -1,6 +1,10 @@
-"""Sharp-interface radial theory: closed forms, optimizers, series, branches."""
+"""Sharp-interface radial theory: energies, potential, optimizers, series, branches."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import pacok as pk
 from pacok import radial
 from pacok.errors import InvalidCandidateError, OptimizationError, OutOfRangeError
 
-from conftest import quadrature_nonlocal
+from conftest import mp_nonlocal, mp_potential, quadrature_nonlocal
 
 
 class TestRadialCandidate:
@@ -72,6 +76,28 @@ class TestClosedForms:
         oracle = quadrature_nonlocal(c)
         assert pk.liposome_energy(c, 1.0).nonlocal_ == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize("n,zeta,gamma", [
+        (n, zeta, gamma) for n in (2, 3) for zeta in (0.5, 1.0, 2.0) for gamma in (1.0, 1500.0)])
+    def test_optimal_energy_matches_50_digit_oracle(self, n, zeta, gamma):
+        # every mass of (1, 7, 1e2, 1e3, 1e4, 1e6) the optimizer solves; at
+        # gamma = 1 the smaller ones have no interior liposome minimum
+        masses = (1.0, 7.0, 1e2, 1e3, 1e4, 1e6)
+        if gamma == 1.0:
+            masses = masses[2:] if n == 2 else masses[3:]
+        for m in masses:
+            c = pk.optimize_liposome(m, zeta, gamma, n)
+            exact = radial.sharp_perimeter(c) + gamma * mp_nonlocal(c)
+            total = pk.liposome_energy(c, gamma).total
+            assert abs(total - exact) <= 1e-13 * abs(exact), (m, float((total - exact) / exact))
+
+    def test_thick_core_matches_50_digit_oracle(self):
+        # R0/R1 down to 1e-4: the inner layer spans four decades of radius
+        for n in (2, 3):
+            for frac in (1e-1, 1e-2, 1e-4):
+                c = radial.liposome_candidate(5.0, 1.0, n, frac * 0.5, 0.5)
+                value = radial.sharp_nonlocal(c)
+                assert abs(value - mp_nonlocal(c)) <= 1e-13 * value
+
     def test_degenerate_family_continuity(self):
         # R0 -> R1 and R2 -> R3 along a zeta -> 0 family: N stays finite/continuous
         values = []
@@ -108,11 +134,22 @@ class TestRadialPotential:
             assert abs(left - right) < 1e-7 * scale
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_drops_match_branch_formulas(self, n):
-        c = radial.liposome_candidate(3.0, 1.2, n, 0.6, 0.8)
+    @pytest.mark.parametrize("large", [False, True])
+    def test_potential_matches_50_digit_oracle(self, n, large, rng):
+        # small: a hand-picked candidate; large: the m = 1e6 minimizer, whose
+        # layers are ~1e-7 (2-D) and ~2e-4 (3-D) of its radius thick
+        if large:
+            c = pk.optimize_liposome(1e6, 1.0, 1500.0, n)
+        else:
+            c = radial.liposome_candidate(3.0, 1.2, n, 0.6, 0.8)
+        r0, r1, r2, r3 = c.radii
+        r = np.concatenate([[0.5 * r0], *(rng.uniform(a, b, 4) for a, b in zip(c.radii, c.radii[1:]))])
+        exact = np.array([float(mp_potential(c, x)) for x in r])
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(pk.radial_potential(c, r) - exact)) <= 1e-13 * scale
         drops = radial.potential_drops(c.radii, c.zeta, n)
-        direct = [pk.radial_potential(c, r) for r in c.radii[:3]]
-        assert np.allclose(drops, direct, rtol=1e-10, atol=1e-14)
+        exact_drops = [float(mp_potential(c, x)) for x in (r0, r1, r2)]
+        assert np.max(np.abs(np.subtract(drops, exact_drops))) <= 1e-13 * scale
 
     def test_quadrature_identity(self):
         # int phi (1_U - 1_V/zeta) = 2 N, via fixed Gauss-Legendre panels
@@ -247,6 +284,14 @@ class TestOptimize:
         free = pk.optimize_liposome(1e4, 1.0, 1.0, 3)
         assert pk.liposome_energy(c, 1.0).total > pk.liposome_energy(free, 1.0).total
 
+    @pytest.mark.parametrize("m,zeta,gamma", [(1e9, 1.0, 1.0), (1e6, 0.5, 1500.0)])
+    def test_large_mass_2d_converges(self, m, zeta, gamma):
+        # the finite-difference step follows the inner V thickness, not R0
+        c = pk.optimize_liposome(m, zeta, gamma, 2)
+        assert float(np.max(np.abs(pk.stationarity_residual(c, gamma)))) < 1e-15
+        pred = pk.asymptotic_liposome(m, zeta, gamma, 2)
+        assert c.thicknesses[1] == pytest.approx(pred.thickness_middle, rel=1e-6)
+
     def test_no_interior_minimum_raises(self):
         # at small mass the liposome family minimizes on the micelle boundary
         with pytest.raises(OptimizationError):
@@ -255,6 +300,14 @@ class TestOptimize:
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             pk.optimize_liposome(-1.0, 1.0, 1.0, 3)
+
+
+def test_import_defers_scipy_optimize():
+    # stepping never calls scipy.optimize; only the brentq call sites import it
+    code = "import sys, pacok; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(pk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 class TestAsymptotics:
