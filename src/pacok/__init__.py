@@ -18,7 +18,6 @@ from .energy import (
     nonlocal_term,
     perimeter_term,
     potential_W,
-    potential_W_grad,
     total_energy,
     variational_derivatives,
 )
@@ -29,7 +28,6 @@ from .dynamics import (
     StepperConfig,
     run,
     screening_check,
-    split_W,
     step,
 )
 from .radial import (

@@ -16,6 +16,7 @@ gradient of W is continuous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,10 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
-    _all_axes,
     _inv_k_squared,
     dirichlet_energy,
     integrate_array,
+    irfftn_into,
     laplacian,
     parseval_sum,
     require_same_grid,
@@ -58,12 +59,13 @@ class PhysParams:
 
     def __post_init__(self) -> None:
         for name in ("zeta", "gamma", "mass", "epsilon", "K1", "K2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.v_reg is None:
             object.__setattr__(self, "v_reg", (self.epsilon / 2.0) * V_REG_RATIO)
-        elif self.v_reg < 0:
-            raise ValueError("v_reg must be nonnegative")
+        elif not 0 <= self.v_reg < math.inf:
+            raise ValueError(f"v_reg must be finite and nonnegative, got {self.v_reg}")
         if self.interpolant not in ("cubic", "identity"):
             raise ValueError(f"unknown interpolant {self.interpolant!r}")
 
@@ -147,16 +149,6 @@ def potential_W(u, v):
     return 18.0 * well * well + 13.5 * penalty
 
 
-def potential_W_grad(u, v):
-    """(dW/du, dW/dv); one-sided quadratics differentiated piecewise."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    overlap = np.maximum(u + v - 1.0, 0.0)
-    w_u = 36.0 * (u - u * u) * (1.0 - 2.0 * u) + 27.0 * overlap
-    w_v = 27.0 * (np.minimum(v, 0.0) + np.maximum(v - 1.0, 0.0) + overlap)
-    return w_u, w_v
-
-
 def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
     """w = f(u) - f(v)/zeta, the source of the electrostatic potential."""
     require_same_grid(u, v)
@@ -184,8 +176,7 @@ def nonlocal_term(u: Field, v: Field, params: PhysParams) -> tuple[float, Field]
     inv_k2 = _inv_k_squared(grid)
     energy = _nonlocal_energy(grid, w_hat, inv_k2)
     w_hat *= inv_k2
-    phi = np.fft.irfftn(w_hat, s=grid.shape, axes=_all_axes(grid))
-    return energy, Field(grid, phi)
+    return energy, Field(grid, irfftn_into(w_hat, np.empty(grid.shape)))
 
 
 def masses(u: Field, v: Field, params: PhysParams) -> tuple[float, float]:
@@ -237,9 +228,10 @@ class ExplicitForce:
     The pointwise work is fused. For the cubic f, the terms f, f' and W_u
     share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
     and W_v = 27*(overlap + v - clip(v, 0, 1)). A call costs two FFTs (the
-    Poisson solve) and writes through ``out=`` into four field buffers and one
-    half-spectrum allocated here once; between calls the caller may use
-    ``work`` and ``spec`` as scratch.
+    Poisson solve, inverted in place by :func:`~pacok.grid.irfftn_into`) and
+    writes through ``out=`` into four field buffers and one half-spectrum
+    allocated here once, so it allocates nothing field-sized; between calls
+    the caller may use ``work`` and ``spec`` as scratch.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams):
@@ -247,7 +239,6 @@ class ExplicitForce:
         self.params = params
         self.cubic = params.interpolant == "cubic"
         self.inv_k2 = _inv_k_squared(grid)
-        self.axes = _all_axes(grid)
         self.work = tuple(np.empty(grid.shape) for _ in range(4))
         half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)  # rfftn layout
         self.spec = np.empty(half, dtype=np.complex128)
@@ -279,7 +270,7 @@ class ExplicitForce:
         np.subtract(fu, phi, out=charge)
         np.fft.rfftn(charge, out=self.spec)
         self.spec *= self.inv_k2
-        np.fft.irfftn(self.spec, s=grid.shape, axes=self.axes, out=phi)
+        irfftn_into(self.spec, phi)
 
         # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
         np.multiply(phi, slope * p.gamma, out=out_u)

@@ -88,10 +88,6 @@ class GridSpec:
         return out
 
 
-def _all_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(grid.dim))
-
-
 @lru_cache(maxsize=64)
 def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Angular wavenumbers per axis (x first) on the rfftn layout.
@@ -127,8 +123,9 @@ def _inv_k_squared(grid: GridSpec) -> np.ndarray:
 
     Not cached: it is as large as |k|^2, and a cached copy measured 1-3 MB more
     peak RSS on the analyze benchmark workload. ``ExplicitForce`` keeps one per
-    instance; ``total_energy``, ``nonlocal_term`` and ``poisson_solve`` build it
-    on every call.
+    instance, so time stepping builds it once per run and a step allocates
+    nothing field-sized; ``total_energy``, ``nonlocal_term`` and
+    ``poisson_solve`` build it on every call.
     """
     k2 = _k_squared(grid)
     inv = np.zeros_like(k2)
@@ -186,27 +183,39 @@ def require_same_grid(*fields: Field) -> GridSpec:
     return grid
 
 
+def irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of ``rfftn`` over every axis, written into ``out`` and returned.
+
+    Bitwise equal to ``np.fft.irfftn(spec, s=out.shape, axes=all)``, but it
+    allocates nothing field-sized: complex ``ifft`` passes run in place over
+    the leading axes, in irfftn's order, and ``irfft`` writes the last axis
+    into ``out``. ``spec`` is overwritten.
+    """
+    for axis in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)
+
+
 def poisson_solve(w: Field) -> Field:
     """Zero-mean solution of -lap(phi) = w - mean(w), periodic."""
     spec = np.fft.rfftn(w.values)
     spec *= _inv_k_squared(w.grid)
-    return Field(w.grid, np.fft.irfftn(spec, s=w.grid.shape, axes=_all_axes(w.grid)))
+    return Field(w.grid, irfftn_into(spec, np.empty(w.grid.shape)))
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: multiply coefficients by -|k|^2."""
-    grid = f.grid
     spec = np.fft.rfftn(f.values)
-    return Field(grid, np.fft.irfftn(-_k_squared(grid) * spec, s=grid.shape, axes=_all_axes(grid)))
+    spec *= -_k_squared(f.grid)
+    return Field(f.grid, irfftn_into(spec, np.empty(f.grid.shape)))
 
 
 def translate(f: Field, shift) -> Field:
     """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
-    grid = f.grid
     spec = np.fft.rfftn(f.values)
-    for k, t in zip(_wavenumbers(grid), shift):
-        spec = spec * np.exp(1j * k * t)
-    return Field(grid, np.fft.irfftn(spec, s=grid.shape, axes=_all_axes(grid)))
+    for k, t in zip(_wavenumbers(f.grid), shift):
+        spec *= np.exp(1j * k * t)
+    return Field(f.grid, irfftn_into(spec, np.empty(f.grid.shape)))
 
 
 def integrate(f: Field) -> float:

@@ -15,9 +15,14 @@ def rng():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Names of the numpy.fft.rfftn/irfftn calls made while the test runs."""
+    """Names of the numpy.fft transforms called while the test runs.
+
+    ``irfft`` is the last pass of every inverse (``grid.irfftn_into``), so it
+    counts inverses; ``irfftn`` is counted too, so that a return to the
+    allocating inverse shows up under its own name.
+    """
     calls = []
-    for name in ("rfftn", "irfftn"):
+    for name in ("rfftn", "irfft", "irfftn"):
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -26,6 +31,17 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def potential_W_grad(u, v):
+    """(dW/du, dW/dv), one-sided quadratics differentiated piecewise: the
+    unfused oracle for the well part of ``ExplicitForce``."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    overlap = np.maximum(u + v - 1.0, 0.0)
+    w_u = 36.0 * (u - u * u) * (1.0 - 2.0 * u) + 27.0 * overlap
+    w_v = 27.0 * (np.minimum(v, 0.0) + np.maximum(v - 1.0, 0.0) + overlap)
+    return w_u, w_v
 
 
 def band_limited(grid: pk.GridSpec, rng, max_mode: int = 6, zero_mean: bool = True):

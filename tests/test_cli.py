@@ -180,7 +180,14 @@ class TestRunAndFriends:
         (lambda data: data.pop("stepper"), "'stepper'"),
         (lambda data: data.update(rescale_mass=False), "'rescale_mass'"),
         (lambda data: data["grid"].update(lengths=[float("nan"), 2.6]), "box lengths"),
-    ], ids=["unknown-key", "missing-section", "unknown-top-level-key", "non-finite-length"])
+        (lambda data: data["stepper"].update(dt=float("nan")), "dt must be"),
+        (lambda data: data["params"].update(epsilon=float("nan")), "epsilon must be"),
+        (lambda data: data["params"].update(K1=float("nan")), "K1 must be"),
+        (lambda data: data["params"].update(gamma=float("inf")), "gamma must be"),
+        (lambda data: data["params"].update(v_reg=float("inf")), "v_reg must be"),
+        (lambda data: data["stepper"].update(stop_tol=float("nan")), "stop_tol must be"),
+    ], ids=["unknown-key", "missing-section", "unknown-top-level-key", "non-finite-length",
+            "nan-dt", "nan-epsilon", "nan-K1", "inf-gamma", "inf-v_reg", "nan-stop_tol"])
     def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
         data = json.loads((CONFIGS / "run2d.json").read_text())
         data["grid"]["points"] = [32, 32]

@@ -1,5 +1,6 @@
 """Convex splitting, step/run control, stability, screening diagnostics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 import pacok as pk
 from pacok import analysis, dynamics, initcond
-from pacok.dynamics import SPLIT, _Stepper, amplification_matrix
+from pacok.dynamics import SPLIT, _Stepper
 from pacok.energy import interpolant_pair
 from pacok.errors import DivergenceError
 from pacok.grid import _k_squared, integrate_array
+
+from conftest import potential_W_grad
 
 GRID = pk.GridSpec((32, 32), (1.8, 1.8))
 PARAMS = pk.PhysParams(zeta=1.0, gamma=1500.0, mass=0.4, epsilon=0.05, K1=3e4, K2=4800.0)
@@ -32,11 +35,33 @@ def _liposome_state(grid=GRID, mass=0.4, eps=0.05, noise=None):
     return pk.RunState(u=u, v=v)
 
 
+def split_W(u, v):
+    """(W1, W2) with W1 = 87u^2/2 + 27uv + 27v^2 and W2 = W - W1."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    w1 = 43.5 * u * u + 27.0 * u * v + 27.0 * v * v
+    return w1, pk.potential_W(u, v) - w1
+
+
+def amplification_matrix(k2: float, dt: float, params, cfg) -> np.ndarray:
+    """Mode update matrix of the linearized scheme (W2, nonlocal, penalties off).
+
+    Its spectral radius is <= 1 for every mode and every dt because
+    a_uv^2 <= a_uu*a_vv; it says nothing about the full scheme's explicit terms.
+    """
+    eps = params.epsilon
+    den_u = 1.0 + dt * cfg.L1 * (eps * k2 + SPLIT.a_uu / eps)
+    den_v = 1.0 + dt * cfg.L2 * (2.0 * params.v_reg * k2 + SPLIT.a_vv / eps)
+    c_u = dt * cfg.L1 * SPLIT.a_uv / eps
+    c_v = dt * cfg.L2 * SPLIT.a_uv / eps
+    return np.array([[1.0 / den_u, -c_u / den_u], [-c_v / den_v, 1.0 / den_v]])
+
+
 class TestSplitW:
     def test_sum_recovers_w(self, rng):
         u = rng.uniform(-0.5, 1.5, 2000)
         v = rng.uniform(-0.5, 1.5, 2000)
-        w1, w2 = pk.split_W(u, v)
+        w1, w2 = split_W(u, v)
         assert np.allclose(w1 + w2, pk.potential_W(u, v), rtol=1e-14, atol=1e-14)
 
     def test_w1_hessian_positive_definite(self):
@@ -55,7 +80,7 @@ class TestSplitW:
         for u in np.linspace(-0.1 + h, 1.1 - h, 25) + 3.1e-4:
             for v in np.linspace(-0.1 + h, 1.1 - h, 25) + 2.7e-4:
                 def w2(a, b):
-                    return pk.split_W(a, b)[1]
+                    return split_W(a, b)[1]
                 duu = (w2(u + h, v) - 2 * w2(u, v) + w2(u - h, v)) / h**2
                 dvv = (w2(u, v + h) - 2 * w2(u, v) + w2(u, v - h)) / h**2
                 duv = (w2(u + h, v + h) - w2(u + h, v - h)
@@ -158,7 +183,7 @@ def _oracle_advance(grid, params, cfg, u, v):
     np.divide(w_hat, k2, out=phi_hat, where=k2 > 0)
     phi = np.fft.irfftn(phi_hat, s=grid.shape, axes=axes)
     mass_u, mass_v = integrate_array(grid, fu), integrate_array(grid, fv)
-    w_u, w_v = pk.potential_W_grad(u, v)
+    w_u, w_v = potential_W_grad(u, v)
     force_u = (w_u - SPLIT.a_uu * u) / eps + (p.gamma * phi - p.K1 * (p.mass - mass_u)) * fp(u)
     force_v = (w_v - SPLIT.a_vv * v) / eps - (
         p.gamma / p.zeta * phi + p.K2 * (p.zeta * p.mass - mass_v)) * fp(v)
@@ -207,11 +232,25 @@ class TestWorkspaceStepper:
         assert np.max(np.abs(new[0] - old[0])) <= 1e-12
         assert np.max(np.abs(new[1] - old[1])) <= 1e-12
 
+    def test_warm_step_allocates_less_than_one_field(self):
+        grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
+        state, params = _noisy_shell(grid, "cubic")
+        stepper = _Stepper(grid, params, CFG)
+        out = (np.empty(grid.shape), np.empty(grid.shape))
+        stepper.advance(state.u.values, state.v.values, *out)  # warm
+        tracemalloc.start()
+        try:
+            stepper.advance(state.u.values, state.v.values, *out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.u.values.nbytes  # one field: 262 144 B
+
     def test_six_ffts_per_step(self, fft_calls):
         state = _liposome_state()
         out = (np.empty(GRID.shape), np.empty(GRID.shape))
         _Stepper(GRID, PARAMS, CFG).advance(state.u.values, state.v.values, *out)
-        assert sorted(fft_calls) == ["irfftn"] * 3 + ["rfftn"] * 3
+        assert sorted(fft_calls) == ["irfft"] * 3 + ["rfftn"] * 3
         fft_calls.clear()
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=5, stop_tol=np.inf)
         pk.run(state, PARAMS, cfg)

@@ -5,7 +5,7 @@ import pytest
 
 import pacok as pk
 from pacok.errors import GridMismatchError, InvalidFieldError
-from pacok.grid import require_same_grid, translate
+from pacok.grid import irfftn_into, require_same_grid, translate
 
 from conftest import band_limited
 
@@ -48,6 +48,17 @@ class TestGridSpec:
         with pytest.raises(GridMismatchError):
             require_same_grid(pk.Field.full(UNIT, 0.0),
                               pk.Field.full(pk.GridSpec((64, 64), (2.0, 2.0)), 0.0))
+
+
+class TestIrfftnInto:
+    @pytest.mark.parametrize("shape", [(128, 128), (32, 32, 32), (8, 12, 16), (24, 32)])
+    def test_bitwise_equal_to_irfftn(self, rng, shape):
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        spec = rng.normal(size=half) + 1j * rng.normal(size=half)
+        expected = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+        out = np.empty(shape)
+        assert irfftn_into(spec, out) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestPoissonSolve:
