@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, NoCrossingError
-from .grid import Field, translate
+from .grid import Field
 
 # exponent window of the energy-to-mass fit; covers the orders 1/2, 1, 2
 # arising from rim penalties, liposome curvature and 2-D curvature
@@ -110,8 +110,11 @@ def _dipole_component(shift: float, coef: np.ndarray, k: np.ndarray) -> float:
     return float(np.sum(np.real(coef * np.exp(1j * k * shift))))
 
 
-def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], Field]:
-    """Translation making every component of int x*w(x+t) dx vanish.
+def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[float, ...]:
+    """Translation t making every component of int x*w(x+t) dx vanish.
+
+    Returns the shift only, one length per axis (x first); the moved field
+    is ``grid.translate(w, t)``.
 
     Requires int w = 0 (within tol * int|w|). The first moment along each
     axis depends only on that axis' shift, so each component is solved
@@ -129,7 +132,7 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
     total = abs(float(w.values.sum())) * grid.cell_volume
     scale = float(np.abs(w.values).sum()) * grid.cell_volume
     if scale == 0.0:
-        return (0.0,) * grid.dim, w
+        return (0.0,) * grid.dim
     if total > tol * scale:
         raise ValueError(f"field has nonzero total mass {total:.3e} (tolerance {tol * scale:.3e})")
 
@@ -157,7 +160,7 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[tuple[float, ...], 
                       args=(coef, k), xtol=_EPS * length, rtol=4.0 * _EPS)
         shifts.append(root % length)
 
-    return tuple(shifts), translate(w, shifts)
+    return tuple(shifts)
 
 
 def dipole_moment(w: Field) -> np.ndarray:

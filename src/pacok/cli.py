@@ -68,9 +68,10 @@ def _build_parser() -> _Parser:
     p_render.add_argument("--checkpoint", required=True)
     p_render.add_argument("--out", required=True)
     p_render.add_argument("--axis", choices=("x", "y", "z"), default="z")
-    p_render.add_argument("--index", type=int, default=None)
-    p_render.add_argument("--stack", action="store_true",
-                          help="write every plane along --axis as NAME_NNN.png")
+    planes = p_render.add_mutually_exclusive_group()
+    planes.add_argument("--index", type=int, default=None)
+    planes.add_argument("--stack", action="store_true",
+                        help="write every plane along --axis as NAME_NNN.png")
 
     p_dipole = sub.add_parser("dipole", help="translate a checkpoint to zero dipole")
     p_dipole.add_argument("--config", required=True)
@@ -226,6 +227,9 @@ def _cmd_fit(args) -> int:
 def _cmd_render(args) -> int:
     state = storage.read_checkpoint(args.checkpoint)
     if state.u.grid.dim == 2:
+        if args.stack or args.index is not None:
+            flag = "--stack" if args.stack else "--index"
+            raise ValueError(f"{flag} needs a 3-D checkpoint; a 2-D one renders as a single image")
         storage.render_cross_section(state.u, state.v, None, args.out)
         print(f"wrote {args.out}")
         return 0
@@ -248,7 +252,7 @@ def _cmd_dipole(args) -> int:
     state = storage.read_checkpoint(args.checkpoint)
     w = charge_density(state.u, state.v, cfg.params)
     w = Field(state.u.grid, w - w.mean())
-    shift, _ = analysis.zero_dipole_shift(w)
+    shift = analysis.zero_dipole_shift(w)
     # apply the same translation to both phases
     shifted_u = translate(state.u, shift)
     shifted_v = translate(state.v, shift)

@@ -212,6 +212,8 @@ def laplacian(f: Field) -> Field:
 
 def translate(f: Field, shift) -> Field:
     """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
+    if len(shift) != f.grid.dim:
+        raise ValueError(f"shift has {len(shift)} components, expected {f.grid.dim}")
     spec = np.fft.rfftn(f.values)
     for k, t in zip(_wavenumbers(f.grid), shift):
         spec *= np.exp(1j * k * t)

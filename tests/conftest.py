@@ -1,5 +1,8 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import struct
+import zlib
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -126,3 +129,25 @@ def radial_seed(candidate: radial.RadialCandidate, grid: pk.GridSpec, epsilon: f
     u = band(r1, r2)
     v = np.clip(band(r0, r3) - u, 0.0, 1.0)
     return pk.Field(grid, u), pk.Field(grid, v)
+
+
+def decode_png(path):
+    """RGB pixels (rows top to bottom) of a filter-0, 8-bit RGB PNG."""
+    raw = path.read_bytes()
+    assert raw[:8] == b"\x89PNG\r\n\x1a\n"
+    pos, chunks = 8, {}
+    while pos < len(raw):
+        (length,) = struct.unpack(">I", raw[pos:pos + 4])
+        tag = raw[pos + 4:pos + 8]
+        chunks.setdefault(tag, b"")
+        chunks[tag] += raw[pos + 8:pos + 8 + length]
+        pos += 12 + length
+    width, height = struct.unpack(">II", chunks[b"IHDR"][:8])
+    data = zlib.decompress(chunks[b"IDAT"])
+    stride = 1 + 3 * width
+    rows = []
+    for row in range(height):
+        line = data[row * stride:(row + 1) * stride]
+        assert line[0] == 0  # filter byte
+        rows.append(np.frombuffer(line[1:], dtype=np.uint8).reshape(width, 3))
+    return np.stack(rows)

@@ -54,7 +54,8 @@ class TestZeroDipoleShift:
     def test_sine_shifts_quarter_period(self):
         grid = pk.GridSpec((32, 32), (1.0, 1.0))
         w = pk.Field.from_function(grid, lambda x, y: np.sin(2 * np.pi * x) + 0.0 * y)
-        shift, moved = pk.zero_dipole_shift(w)
+        shift = pk.zero_dipole_shift(w)
+        moved = translate(w, shift)
         assert min(abs(shift[0] - 0.25), abs(shift[0] - 0.75)) < 1e-12
         assert shift[1] == 0.0
         assert np.max(np.abs(analysis.dipole_moment(moved))) < 1e-12
@@ -64,14 +65,15 @@ class TestZeroDipoleShift:
         w = pk.Field.from_function(
             grid, lambda x, y: np.cos(2 * np.pi * (x - 0.5)) * np.cos(2 * np.pi * (y - 0.5)))
         centered = pk.Field(grid, w.values - w.values.mean())
-        shift, _ = pk.zero_dipole_shift(centered)
+        shift = pk.zero_dipole_shift(centered)
         assert shift == (0.0, 0.0)
 
     def test_random_fields_reach_tolerance(self, rng):
         grid = pk.GridSpec((32, 32), (2.0, 1.0))
         for _ in range(50):
             w = band_limited(grid, rng, max_mode=7)
-            shift, moved = pk.zero_dipole_shift(w)
+            shift = pk.zero_dipole_shift(w)
+            moved = translate(w, shift)
             scale = float(np.abs(w.values).sum()) * grid.cell_volume
             assert np.max(np.abs(analysis.dipole_moment(moved))) < 1e-8 * scale * max(grid.lengths)
             for t, length in zip(shift, grid.lengths):
@@ -80,7 +82,7 @@ class TestZeroDipoleShift:
     def test_3d_field(self, rng):
         grid = pk.GridSpec((16, 16, 16), (1.0, 1.0, 1.0))
         w = band_limited(grid, rng, max_mode=4)
-        _, moved = pk.zero_dipole_shift(w)
+        moved = translate(w, pk.zero_dipole_shift(w))
         scale = float(np.abs(w.values).sum()) * grid.cell_volume
         assert np.max(np.abs(analysis.dipole_moment(moved))) < 1e-10 * scale
 
@@ -97,7 +99,8 @@ class TestZeroDipoleShift:
         w = pk.Field.from_function(grid, lambda x, y: np.sin(2 * np.pi * (x - 0.24)) + 0.0 * y)
         first, last = (analysis.dipole_moment(translate(w, (t, 0.0)))[0] for t in (0.0, 31 / 32))
         assert first * last < 0
-        shift, moved = pk.zero_dipole_shift(w)
+        shift = pk.zero_dipole_shift(w)
+        moved = translate(w, shift)
         assert shift[0] == pytest.approx(0.49, abs=1e-12)
         assert np.max(np.abs(analysis.dipole_moment(moved))) < 1e-12
 
@@ -107,22 +110,31 @@ class TestZeroDipoleShift:
         # so the sample at grid shift 1 is an exact zero, and a true root
         grid = pk.GridSpec((4, 4), (1.0, 1.0))
         w = pk.Field(grid, np.tile([0.0, 2e-307, 0.0, -2e-307], (4, 1)))
-        shift, _ = pk.zero_dipole_shift(w)
+        shift = pk.zero_dipole_shift(w)
         assert shift == (0.25, 0.0)
 
     def test_tiny_amplitude_gives_same_shift(self, rng):
         # products of neighbouring moment samples ~1e-340 underflow to 0
         grid = pk.GridSpec((32, 32), (2.0, 1.0))
         w = band_limited(grid, rng, max_mode=7)
-        shift, _ = pk.zero_dipole_shift(w)
-        tiny, _ = pk.zero_dipole_shift(pk.Field(grid, 1e-170 * w.values))
+        shift = pk.zero_dipole_shift(w)
+        tiny = pk.zero_dipole_shift(pk.Field(grid, 1e-170 * w.values))
         assert np.allclose(tiny, shift, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [pk.GridSpec((32, 32), (2.0, 1.0)),
+                                      pk.GridSpec((16, 12, 8), (1.0, 0.8, 0.5))])
+    def test_no_field_transform(self, rng, fft_calls, grid):
+        # the shift comes from 1-D marginals; moving the field is the caller's transform
+        w = band_limited(grid, rng, max_mode=3)
+        fft_calls.clear()  # band_limited's own inverse
+        pk.zero_dipole_shift(w)
+        assert fft_calls == []
 
     def test_identically_zero_marginal_flagged_ok(self):
         # odd in y only: the x-marginal vanishes identically, any shift works
         grid = pk.GridSpec((32, 32), (1.0, 1.0))
         w = pk.Field.from_function(grid, lambda x, y: np.sin(2 * np.pi * y) + 0.0 * x)
-        shift, _ = pk.zero_dipole_shift(w)
+        shift = pk.zero_dipole_shift(w)
         assert shift[0] == 0.0
 
 

@@ -1,17 +1,26 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pacok as pk
 from pacok import storage
 from pacok.cli import main
+from pacok.grid import translate
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import decode_png
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+GRIDS = [pk.GridSpec((12, 10), (1.2, 1.0)), pk.GridSpec((6, 8, 10), (0.6, 0.8, 1.0))]
 
 
 def _overflow_repro(tmp_path):
@@ -59,6 +68,91 @@ class TestUsage:
         code = main(["render", "--checkpoint", str(tmp_path / "nope.okpf"),
                      "--out", str(tmp_path / "x.png")])
         assert code == 3
+
+
+def _random_checkpoint(path, grid, seed=0):
+    """A non-constant state, partly outside [0, 1] so that colors clip too."""
+    rng = np.random.default_rng(seed)
+    state = pk.RunState(u=pk.Field(grid, rng.uniform(-0.2, 1.2, grid.shape)),
+                        v=pk.Field(grid, rng.uniform(-0.2, 1.2, grid.shape)),
+                        time=0.375, step=42)
+    storage.write_checkpoint(path, state)
+    return state
+
+
+def _plane_colors(state, axis, index):
+    """The image of one plane: phase colors, vertical coordinate upward."""
+    array_axis = state.u.grid.dim - 1 - axis
+    u, v = (np.take(f.values, index, axis=array_axis) for f in (state.u, state.v))
+    return storage.phase_colors(u, v)[::-1]
+
+
+class TestModule:
+    def test_python_m_pacok(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "pacok", "roots"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("zeta0 ")
+
+
+class TestRender:
+    def test_2d_image_is_the_phase_colors(self, tmp_path, capsys):
+        state = _random_checkpoint(tmp_path / "s.okpf", GRIDS[0])
+        assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "p.png")]) == 0
+        expected = storage.phase_colors(state.u.values, state.v.values)[::-1]
+        assert np.array_equal(decode_png(tmp_path / "p.png"), expected)
+
+    def test_3d_plane_is_the_phase_colors(self, tmp_path, capsys):
+        state = _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
+        assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "p.png"), "--axis", "y", "--index", "3"]) == 0
+        assert np.array_equal(decode_png(tmp_path / "p.png"), _plane_colors(state, 1, 3))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_every_stack_plane_is_the_phase_colors(self, tmp_path, capsys, axis):
+        state = _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
+        assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "p.png"), "--axis", axis, "--stack"]) == 0
+        number = "xyz".index(axis)
+        planes = sorted(tmp_path.glob("p_*.png"))
+        assert [p.name for p in planes] == [f"p_{i:03d}.png" for i in range(GRIDS[1].points[number])]
+        for index, plane in enumerate(planes):
+            assert np.array_equal(decode_png(plane), _plane_colors(state, number, index))
+
+    @pytest.mark.parametrize("flags,named", [(["--stack"], "--stack"), (["--index", "3"], "--index")])
+    def test_plane_flags_refused_for_2d(self, tmp_path, capsys, flags, named):
+        _random_checkpoint(tmp_path / "s.okpf", GRIDS[0])
+        assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "p.png"), *flags]) == 1
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.glob("*.png")) == []
+
+    def test_stack_with_index_refused(self, tmp_path, capsys):
+        _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
+        assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "p.png"), "--stack", "--index", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "--stack" in err and "--index" in err
+        assert list(tmp_path.glob("*.png")) == []
+
+
+class TestDipole:
+    @pytest.mark.parametrize("grid", GRIDS, ids=["2d", "3d"])
+    def test_output_is_the_input_moved_by_the_printed_shift(self, tmp_path, capsys, grid):
+        state = _random_checkpoint(tmp_path / "s.okpf", grid, seed=7)
+        config = CONFIGS / ("run3d.json" if grid.dim == 3 else "run2d.json")
+        assert main(["dipole", "--config", str(config), "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "m.okpf")]) == 0
+        line = capsys.readouterr().out.splitlines()[0].split()
+        assert line[0] == "shift" and len(line) == 1 + grid.dim
+        shift = tuple(float(t) for t in line[1:])
+        moved = storage.read_checkpoint(tmp_path / "m.okpf")
+        assert np.array_equal(moved.u.values, translate(state.u, shift).values)
+        assert np.array_equal(moved.v.values, translate(state.v, shift).values)
+        assert (moved.time, moved.step) == (state.time, state.step)
 
 
 class TestRoots:

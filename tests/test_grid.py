@@ -180,3 +180,12 @@ class TestTranslate:
         back = translate(translate(f, (0.137, -0.29)), (-0.137, 0.29))
         assert np.array_equal(f.values, before)
         assert np.max(np.abs(back.values - before)) < 1e-12
+
+    @pytest.mark.parametrize("grid", [pk.GridSpec((8, 6), (1.0, 2.0)),
+                                      pk.GridSpec((4, 6, 8), (1.0, 1.5, 2.0))])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_shift_length_must_match_dim(self, rng, grid, extra):
+        f = pk.Field(grid, rng.normal(size=grid.shape))
+        shift = (0.25,) * (grid.dim + extra)
+        with pytest.raises(ValueError, match=f"{len(shift)} components, expected {grid.dim}"):
+            translate(f, shift)

@@ -3,7 +3,6 @@
 import signal
 import struct
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pacok as pk
 from pacok import storage
 from pacok.errors import CorruptCheckpointError, UnsupportedVersionError
+
+from conftest import decode_png
 
 
 GRID = pk.GridSpec((32, 32), (2.6, 2.6))
@@ -310,27 +311,6 @@ class TestTrace:
         assert columns["time"][0] == value
 
 
-def _decode_png(path):
-    raw = path.read_bytes()
-    assert raw[:8] == b"\x89PNG\r\n\x1a\n"
-    pos, chunks = 8, {}
-    while pos < len(raw):
-        (length,) = struct.unpack(">I", raw[pos:pos + 4])
-        tag = raw[pos + 4:pos + 8]
-        chunks.setdefault(tag, b"")
-        chunks[tag] += raw[pos + 8:pos + 8 + length]
-        pos += 12 + length
-    width, height = struct.unpack(">II", chunks[b"IHDR"][:8])
-    data = zlib.decompress(chunks[b"IDAT"])
-    stride = 1 + 3 * width
-    rows = []
-    for row in range(height):
-        line = data[row * stride:(row + 1) * stride]
-        assert line[0] == 0  # filter byte
-        rows.append(np.frombuffer(line[1:], dtype=np.uint8).reshape(width, 3))
-    return np.stack(rows)
-
-
 class TestRender:
     def test_pure_phase_colors(self, tmp_path):
         grid = pk.GridSpec((8, 8), (1.0, 1.0))
@@ -343,7 +323,7 @@ class TestRender:
             path = tmp_path / f"img_{u_val}_{v_val}.png"
             storage.render_cross_section(pk.Field.full(grid, u_val),
                                          pk.Field.full(grid, v_val), None, path)
-            img = _decode_png(path)
+            img = decode_png(path)
             assert img.shape == (8, 8, 3)
             assert np.all(img == np.array(expected, dtype=np.uint8))
 
@@ -352,7 +332,7 @@ class TestRender:
         path = tmp_path / "overlap.png"
         storage.render_cross_section(pk.Field.full(grid, 1.0),
                                      pk.Field.full(grid, 1.0), None, path)
-        img = _decode_png(path)
+        img = decode_png(path)
         expected = np.clip(np.rint([255 - 44 - 35, 255 - 160 - 35, 255 - 72 - 157]), 0, 255)
         assert np.all(img == expected.astype(np.uint8))
 
@@ -367,7 +347,7 @@ class TestRender:
         grid = pk.GridSpec((8, 8, 8), (1.0, 1.0, 1.0))
         state = _state(rng, grid=grid)
         storage.render_cross_section(state.u, state.v, ("z", 4), tmp_path / "z.png")
-        img = _decode_png(tmp_path / "z.png")
+        img = decode_png(tmp_path / "z.png")
         assert img.shape == (8, 8, 3)
         with pytest.raises(ValueError, match="outside"):
             storage.render_cross_section(state.u, state.v, ("z", 9), tmp_path / "bad.png")
