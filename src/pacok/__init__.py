@@ -12,11 +12,8 @@ from .grid import Field, GridSpec, dirichlet_energy, integrate, laplacian, poiss
 from .energy import (
     EnergyBreakdown,
     PhysParams,
-    constraint_term,
     interpolant,
     interpolant_deriv,
-    nonlocal_term,
-    perimeter_term,
     potential_W,
     total_energy,
     variational_derivatives,

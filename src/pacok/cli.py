@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, initcond, radial, storage
-from .energy import charge_density, masses, total_energy
+from .energy import charge_density, total_energy
 from .errors import CorruptCheckpointError, DivergenceError, PacokError
 from .grid import Field, translate
 
@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
 
     def on_trace(current, residual):
         storage.append_trace(trace_path, current.step, current.time, current.last_energy,
-                             masses(current.u, current.v, cfg.params), residual)
+                             current.last_energy.masses, residual)
 
     def on_checkpoint(current):
         storage.write_checkpoint(out_dir / f"ckpt_{current.step:08d}.okpf", current)
@@ -138,7 +138,7 @@ def _cmd_energy(args) -> int:
     cfg = storage.load_config(args.config)
     state = storage.read_checkpoint(args.checkpoint)
     breakdown = total_energy(state.u, state.v, cfg.params)
-    mass_u, mass_v = masses(state.u, state.v, cfg.params)
+    mass_u, mass_v = breakdown.masses
     print(f"perimeter {_fmt(breakdown.perimeter)}")
     print(f"nonlocal {_fmt(breakdown.nonlocal_)}")
     print(f"constraint {_fmt(breakdown.constraint)}")

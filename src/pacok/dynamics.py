@@ -32,11 +32,11 @@ from .energy import (
     ExplicitForce,
     PhysParams,
     SplitConstants,  # noqa: F401  (re-exported: the split belongs to the scheme)
-    nonlocal_term,
+    charge_density,
     total_energy,
 )
 from .errors import DivergenceError
-from .grid import Field, _k_squared, irfftn_into, require_same_grid
+from .grid import Field, _k_squared, irfftn_into, poisson_solve, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def screening_check(state: RunState, params: PhysParams, threshold: float = 0.01
     small ratio, a charge-imbalanced one O(1). Returns NaN when the exterior
     is empty or phi vanishes identically (not applicable).
     """
-    _, phi = nonlocal_term(state.u, state.v, params)
+    phi = poisson_solve(Field(state.u.grid, charge_density(state.u, state.v, params)))
     outside = state.u.values + state.v.values < threshold
     if not outside.any():
         return float("nan")

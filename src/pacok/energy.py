@@ -12,6 +12,9 @@ v-smoothing term R = v_reg*int|grad v|^2.
 The well W penalizes u outside {0,1}, v outside [0,1] and overlap u+v > 1;
 the one-sided quadratics are C^1 with the kink derivative set to 0, so the
 gradient of W is continuous.
+
+:func:`total_energy` is the one evaluation of E; its :class:`EnergyBreakdown`
+carries the four terms, the total and the masses int f(u), int f(v).
 """
 
 from __future__ import annotations
@@ -92,18 +95,24 @@ SPLIT = SplitConstants()
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Energy contributions; ``total`` applies gamma to ``nonlocal`` once."""
+    """Energy contributions; ``total`` applies gamma to ``nonlocal`` once.
+
+    ``masses`` is (int f(u), int f(v)), which the penalties hold at m and
+    zeta*m; a breakdown assembled by hand holds (nan, nan).
+    """
 
     perimeter: float
     nonlocal_: float
     constraint: float
     v_regularization: float
     total: float
+    masses: tuple[float, float] = (math.nan, math.nan)
 
     @classmethod
-    def assemble(cls, perimeter, nonlocal_, constraint, v_regularization, gamma):
+    def assemble(cls, perimeter, nonlocal_, constraint, v_regularization, gamma,
+                 masses=(math.nan, math.nan)):
         total = perimeter + gamma * nonlocal_ + constraint + v_regularization
-        return cls(perimeter, nonlocal_, constraint, v_regularization, total)
+        return cls(perimeter, nonlocal_, constraint, v_regularization, total, masses)
 
 
 def interpolant(z):
@@ -119,7 +128,8 @@ def interpolant_deriv(z):
 
 
 def _identity(z):
-    return np.asarray(z, dtype=np.float64)
+    """f(z) = z, as a new array: callers may write into f's result."""
+    return np.array(z, dtype=np.float64)
 
 
 def _identity_deriv(z):
@@ -156,61 +166,33 @@ def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
     return f(u.values) - f(v.values) / params.zeta
 
 
-def perimeter_term(u: Field, v: Field, params: PhysParams) -> float:
-    """(eps/2)*int|grad u|^2 + (1/eps)*int W(u, v)."""
-    grid = require_same_grid(u, v)
-    gradient_part = 0.5 * params.epsilon * dirichlet_energy(u)
-    well_part = integrate_array(grid, potential_W(u.values, v.values)) / params.epsilon
-    return gradient_part + well_part
+def total_energy(u: Field, v: Field, params: PhysParams) -> EnergyBreakdown:
+    """P, N, C, R, E and the masses; f(u) and f(v) once each, three FFTs.
 
-
-def _nonlocal_energy(grid: GridSpec, w_hat: np.ndarray, inv_k2: np.ndarray) -> float:
-    """N = (1/2)*int|grad phi|^2 = (1/2)*sum |w_hat|^2/|k|^2 by Parseval."""
-    return 0.5 * parseval_sum(grid, w_hat, inv_k2)
-
-
-def nonlocal_term(u: Field, v: Field, params: PhysParams) -> tuple[float, Field]:
-    """(N, phi) with N = (1/2)*int|grad phi|^2, phi zero-mean periodic."""
-    grid = require_same_grid(u, v)
-    w_hat = np.fft.rfftn(charge_density(u, v, params))
-    inv_k2 = _inv_k_squared(grid)
-    energy = _nonlocal_energy(grid, w_hat, inv_k2)
-    w_hat *= inv_k2
-    return energy, Field(grid, irfftn_into(w_hat, np.empty(grid.shape)))
-
-
-def masses(u: Field, v: Field, params: PhysParams) -> tuple[float, float]:
-    """(int f(u), int f(v)), the masses the penalties hold at m and zeta*m."""
+    N = (1/2)*sum |w_hat|^2/|k|^2 by Parseval, w = f(u) - f(v)/zeta.
+    """
     grid = require_same_grid(u, v)
     f, _ = interpolant_pair(params)
-    return integrate_array(grid, f(u.values)), integrate_array(grid, f(v.values))
-
-
-def constraint_term(u: Field, v: Field, params: PhysParams) -> float:
-    """(K1/2)(m - int f(u))^2 + (K2/2)(zeta*m - int f(v))^2."""
-    mass_u, mass_v = masses(u, v, params)
-    return 0.5 * params.K1 * (params.mass - mass_u) ** 2 + 0.5 * params.K2 * (
-        params.zeta * params.mass - mass_v
+    fu, fv = f(u.values), f(v.values)
+    masses = integrate_array(grid, fu), integrate_array(grid, fv)
+    # w in f(u)'s buffer, and each array freed once read: holding f(u), f(v)
+    # or the spectrum longer raises the peak and moves later allocations
+    fv /= params.zeta
+    fu -= fv
+    del fv
+    w_hat = np.fft.rfftn(fu)
+    del fu
+    nonlocal_ = 0.5 * parseval_sum(grid, w_hat, _inv_k_squared(grid))
+    del w_hat
+    eps = params.epsilon
+    perimeter = (0.5 * eps * dirichlet_energy(u)
+                 + integrate_array(grid, potential_W(u.values, v.values)) / eps)
+    constraint = 0.5 * params.K1 * (params.mass - masses[0]) ** 2 + 0.5 * params.K2 * (
+        params.zeta * params.mass - masses[1]
     ) ** 2
-
-
-def v_regularization_term(v: Field, params: PhysParams) -> float:
-    """v_reg * int|grad v|^2."""
-    return params.v_reg * dirichlet_energy(v)
-
-
-def total_energy(u: Field, v: Field, params: PhysParams) -> EnergyBreakdown:
-    """Full breakdown; total = P + gamma*N + C + R (three FFTs)."""
-    grid = require_same_grid(u, v)
-    w_hat = np.fft.rfftn(charge_density(u, v, params))
-    nonlocal_ = _nonlocal_energy(grid, w_hat, _inv_k_squared(grid))
-    return EnergyBreakdown.assemble(
-        perimeter=perimeter_term(u, v, params),
-        nonlocal_=nonlocal_,
-        constraint=constraint_term(u, v, params),
-        v_regularization=v_regularization_term(v, params),
-        gamma=params.gamma,
-    )
+    v_regularization = params.v_reg * dirichlet_energy(v)
+    return EnergyBreakdown.assemble(perimeter, nonlocal_, constraint, v_regularization,
+                                    params.gamma, masses)
 
 
 class ExplicitForce:

@@ -124,8 +124,8 @@ def _inv_k_squared(grid: GridSpec) -> np.ndarray:
     Not cached: it is as large as |k|^2, and a cached copy measured 1-3 MB more
     peak RSS on the analyze benchmark workload. ``ExplicitForce`` keeps one per
     instance, so time stepping builds it once per run and a step allocates
-    nothing field-sized; ``total_energy``, ``nonlocal_term`` and
-    ``poisson_solve`` build it on every call.
+    nothing field-sized; ``total_energy`` and ``poisson_solve`` build it on
+    every call.
     """
     k2 = _k_squared(grid)
     inv = np.zeros_like(k2)
@@ -147,7 +147,7 @@ def _parseval_weights(grid: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real scalar samples on a :class:`GridSpec`, one per node."""
+    """Real scalar samples on a :class:`GridSpec`, one per node, shaped ``grid.shape``."""
 
     grid: GridSpec
     values: np.ndarray
@@ -155,13 +155,9 @@ class Field:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != self.grid.shape:
-            if values.size == self.grid.size:
-                values = values.reshape(self.grid.shape)
-            else:
-                raise InvalidFieldError(
-                    f"expected {self.grid.size} samples shaped {self.grid.shape}, "
-                    f"got shape {values.shape}"
-                )
+            raise InvalidFieldError(
+                f"expected samples shaped {self.grid.shape}, got shape {values.shape}"
+            )
         if not np.all(np.isfinite(values)):
             raise InvalidFieldError("field contains non-finite samples")
         object.__setattr__(self, "values", values)

@@ -3,8 +3,10 @@
 A bilayer seed places the core phase u in a band of half-thickness
 ``u_half_thickness`` around a midsurface, flanked on both sides by the head
 phase v of thickness ``v_thickness`` (default zeta * u_half_thickness per
-side, the sharp-interface optimal (zeta, 2, zeta) split). All profiles are
-(1 + tanh(3 d / eps)) / 2 in the signed distance d to the relevant level set.
+side, the sharp-interface optimal (zeta, 2, zeta) split). Each shape gives
+the unsigned distance to its midsurface (``distance(grid)``; for a ball, the
+distance to its center), and :func:`build_bilayer` applies both profiles to
+it: (1 + tanh(3 d / eps)) / 2 in the signed distance d to each level set.
 
 Distances use minimum-image (wrap-around) coordinate differences, so the
 generated fields are genuinely periodic; a geometry too large for the box
@@ -14,7 +16,7 @@ triggers a warning, not an error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +51,13 @@ def _radius_from_center(grid: GridSpec, center) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ball:
-    """Solid core of phase u (micelle seed)."""
+    """Solid core of phase u (micelle seed); u_half_thickness defaults to the radius."""
 
     center: tuple[float, ...]
     radius: float
 
-    def fields(self, grid, u_half, v_th, eps):
-        r = _radius_from_center(grid, self.center)
-        u = tanh_profile(self.radius - r, eps)
-        outer = tanh_profile(self.radius + v_th - r, eps)
-        return u, outer
+    def distance(self, grid):
+        return _radius_from_center(grid, self.center)
 
     def extent(self):
         return self.radius
@@ -75,13 +74,9 @@ class Shell:
     inner_radius: float
     outer_radius: float
 
-    def fields(self, grid, u_half, v_th, eps):
+    def distance(self, grid):
         mid = 0.5 * (self.inner_radius + self.outer_radius)
-        r = _radius_from_center(grid, self.center)
-        dist = np.abs(r - mid)
-        u = tanh_profile(u_half - dist, eps)
-        outer = tanh_profile(u_half + v_th - dist, eps)
-        return u, outer
+        return np.abs(_radius_from_center(grid, self.center) - mid)
 
     def extent(self):
         return self.outer_radius
@@ -99,7 +94,7 @@ class Slab:
     half_thickness: float
     radius: float | None = None
 
-    def fields(self, grid, u_half, v_th, eps):
+    def distance(self, grid):
         deltas = _wrapped_deltas(grid, self.center)
         normal = np.asarray(self.normal, dtype=np.float64)
         normal = normal / np.linalg.norm(normal)
@@ -111,10 +106,7 @@ class Slab:
             rho = np.sqrt(np.maximum(np.broadcast_to(perp2, grid.shape), 0.0))
             overhang = np.maximum(rho - self.radius, 0.0)
             dist = np.hypot(axial, overhang)
-        dist = np.broadcast_to(dist, grid.shape)
-        u = tanh_profile(u_half - dist, eps)
-        outer = tanh_profile(u_half + v_th - dist, eps)
-        return u, outer
+        return np.broadcast_to(dist, grid.shape)
 
     def extent(self):
         return self.half_thickness if self.radius is None else np.hypot(self.radius, self.half_thickness)
@@ -136,15 +128,12 @@ class Torus:
         if self.deform_factor < 1.0:
             raise ValueError("deform_factor must be >= 1")
 
-    def fields(self, grid, u_half, v_th, eps):
+    def distance(self, grid):
         if grid.dim != 3:
             raise ValueError("torus seeds need a 3-D grid")
         dx, dy, dz = _wrapped_deltas(grid, self.center)
         ring = np.hypot(np.hypot(dx / self.deform_factor, dy) - self.major_radius, dz)
-        dist = np.abs(np.broadcast_to(ring, grid.shape) - self.minor_radius)
-        u = tanh_profile(u_half - dist, eps)
-        outer = tanh_profile(u_half + v_th - dist, eps)
-        return u, outer
+        return np.abs(np.broadcast_to(ring, grid.shape) - self.minor_radius)
 
     def extent(self):
         return self.deform_factor * self.major_radius + self.minor_radius
@@ -169,7 +158,7 @@ class Gyroid:
         if self.scale < 1:
             raise ValueError("scale must be a positive cell count")
 
-    def fields(self, grid, u_half, v_th, eps):
+    def distance(self, grid):
         if grid.dim != 3:
             raise ValueError("gyroid seeds need a 3-D grid")
         x, y, z = grid.coords()
@@ -183,10 +172,7 @@ class Gyroid:
         gz = a[2] * (cz * cx - sy * sz)
         gnorm = np.sqrt(gx * gx + gy * gy + gz * gz)
         dist = np.abs(value) / np.maximum(gnorm, 1e-9 * max(a))
-        dist = np.broadcast_to(dist, grid.shape)
-        u = tanh_profile(u_half - dist, eps)
-        outer = tanh_profile(u_half + v_th - dist, eps)
-        return u, outer
+        return np.broadcast_to(dist, grid.shape)
 
     def extent(self):
         return 0.0  # periodic by construction
@@ -202,7 +188,7 @@ class CurveBilayer:
     points: tuple[tuple[float, float], ...]
     half_thickness: float | None = None
 
-    def fields(self, grid, u_half, v_th, eps):
+    def distance(self, grid):
         if grid.dim != 2:
             raise ValueError("curve seeds need a 2-D grid")
         pts = np.asarray(self.points, dtype=np.float64)
@@ -221,10 +207,7 @@ class CurveBilayer:
             qx = ax + t * ex - px
             qy = ay + t * ey - py
             dist2 = np.minimum(dist2, qx * qx + qy * qy)
-        dist = np.sqrt(dist2).reshape(grid.shape)
-        u = tanh_profile(u_half - dist, eps)
-        outer = tanh_profile(u_half + v_th - dist, eps)
-        return u, outer
+        return np.sqrt(dist2).reshape(grid.shape)
 
     def extent(self):
         return float(np.max(np.abs(np.asarray(self.points))))
@@ -301,7 +284,9 @@ def build_bilayer(spec: BilayerSpec, grid: GridSpec) -> tuple[Field, Field]:
             "seed geometry exceeds the half-box; it wraps around periodically",
             stacklevel=2,
         )
-    u_arr, outer = spec.shape.fields(grid, spec.u_half_thickness, spec.v_thickness, spec.epsilon)
+    dist = spec.shape.distance(grid)
+    u_arr = tanh_profile(spec.u_half_thickness - dist, spec.epsilon)
+    outer = tanh_profile(spec.u_half_thickness + spec.v_thickness - dist, spec.epsilon)
     v_arr = np.clip(outer - u_arr, 0.0, 1.0)
     return Field(grid, u_arr), Field(grid, v_arr)
 

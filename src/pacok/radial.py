@@ -247,25 +247,27 @@ def liposome_energy(c: RadialCandidate, gamma: float) -> SharpEnergy:
     return SharpEnergy(perimeter, nonlocal_, perimeter + gamma * nonlocal_)
 
 
+def _micelle_shape(zeta: float, n: int) -> float:
+    """S_n(zeta) of the micelle's N: pi S_2 c^2/8 in 2-D, 2 pi S_3 c^(5/3)/15 in
+    3-D for the mass content c (S_2 and S_3 as returned below)."""
+    zp1 = zeta + 1.0
+    if n == 2:
+        return zp1 * (zp1 * math.log(zp1) - zeta) / zeta**2
+    return zp1 * (2.0 * zeta + 3.0 - 3.0 * zp1 ** (2.0 / 3.0)) / zeta**2
+
+
 def micelle_energy(m: float, zeta: float, gamma: float, n: int) -> float:
     """Closed-form total energy of the micelle candidate of mass m."""
     if min(m, zeta, gamma) <= 0:
         raise ValueError("m, zeta, gamma must be positive")
     content = mass_content(m, n)
-    zp1 = zeta + 1.0
+    shape = _micelle_shape(zeta, n)
     if n == 2:
         perimeter = _TWO_PI * math.sqrt(m / math.pi)
-        nonlocal_ = math.pi * (zp1 * (zp1 * math.log(zp1) - zeta) / zeta**2) * content**2 / 8.0
+        nonlocal_ = math.pi * shape * content**2 / 8.0
     else:
         perimeter = _FOUR_PI * content ** (2.0 / 3.0)
-        nonlocal_ = (
-            math.pi
-            * zp1
-            * (4.0 * zeta + 6.0 - 6.0 * zp1 ** (2.0 / 3.0))
-            / zeta**2
-            * content ** (5.0 / 3.0)
-            / 15.0
-        )
+        nonlocal_ = 2.0 * math.pi * shape * content ** (5.0 / 3.0) / 15.0
     return perimeter + gamma * nonlocal_
 
 
@@ -273,15 +275,13 @@ def micelle_optimal(zeta: float, gamma: float, n: int) -> tuple[float, float]:
     """(m*, min E/m) of the micelle family."""
     if min(zeta, gamma) <= 0:
         raise ValueError("zeta, gamma must be positive")
-    zp1 = zeta + 1.0
+    shape = _micelle_shape(zeta, n)
     if n == 2:
-        shape = zp1 * (zp1 * math.log(zp1) - zeta) / zeta**2
         m_star = _FOUR_PI * (gamma * shape) ** (-2.0 / 3.0)
         min_ratio = 1.5 * (gamma * shape) ** (1.0 / 3.0)
     else:
-        half_shape = 2.0 * zeta + 3.0 - 3.0 * zp1 ** (2.0 / 3.0)
-        m_star = 20.0 * math.pi * zeta**2 / (gamma * zp1 * half_shape)
-        min_ratio = 4.5 * (gamma * zp1 * half_shape / (15.0 * zeta**2)) ** (1.0 / 3.0)
+        m_star = 20.0 * math.pi / (gamma * shape)
+        min_ratio = 4.5 * (gamma * shape / 15.0) ** (1.0 / 3.0)
     return m_star, min_ratio
 
 
@@ -644,15 +644,11 @@ def branch_bilayer(zeta: float) -> float:
 
 
 def branch_cylinder(zeta: float) -> float:
-    zp1 = zeta + 1.0
-    return 1.5 * (zp1 * (zp1 * math.log(zp1) - zeta) / zeta**2) ** (1.0 / 3.0)
+    return 1.5 * _micelle_shape(zeta, 2) ** (1.0 / 3.0)
 
 
 def branch_sphere(zeta: float) -> float:
-    zp1 = zeta + 1.0
-    return 4.5 * (zp1 * (2.0 * zeta + 3.0 - 3.0 * zp1 ** (2.0 / 3.0)) / (15.0 * zeta**2)) ** (
-        1.0 / 3.0
-    )
+    return 4.5 * (_micelle_shape(zeta, 3) / 15.0) ** (1.0 / 3.0)
 
 
 def _zeta1_equation(z: float) -> float:

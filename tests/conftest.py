@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pacok as pk
-from pacok import radial
+from pacok import energy, radial
 
 
 @pytest.fixture
@@ -33,6 +33,19 @@ def fft_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.fixture
+def interpolant_calls(monkeypatch):
+    """Shapes of the arrays the cubic interpolant f is evaluated on while the test runs."""
+    calls = []
+
+    def counted(z, _original=energy.interpolant):
+        calls.append(np.shape(z))
+        return _original(z)
+
+    monkeypatch.setattr(energy, "interpolant", counted)
     return calls
 
 

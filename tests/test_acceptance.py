@@ -16,7 +16,6 @@ import pytest
 
 import pacok as pk
 from pacok import analysis, initcond, radial
-from pacok.energy import nonlocal_term
 from pacok.grid import translate
 
 from conftest import band_limited
@@ -206,7 +205,7 @@ def test_criterion_05_discrete_vs_closed_form_nonlocal():
                            outer_radius=cand.radii[2]),
             epsilon=eps, zeta=1.0)
         u, v = pk.build_bilayer(spec, grid)
-        value, _ = nonlocal_term(u, v, params)
+        value = pk.total_energy(u, v, params).nonlocal_
         errors.append(abs(value - sharp) / sharp)
     ok = errors[-1] < 0.02 and errors[-1] < errors[0]
     _report(5, "grid nonlocal vs closed form", ok,

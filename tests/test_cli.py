@@ -239,6 +239,28 @@ class TestRunAndFriends:
         state = storage.read_checkpoint(moved)
         assert state.u.grid == cfg.grid
 
+    def test_interpolant_evaluated_twice_per_energy(self, run_config, capsys, tmp_path,
+                                                     interpolant_calls):
+        # f(u) and f(v) once each per trace row and per `pacok energy`; the
+        # breakdown carries the masses that the trace and the energy print
+        path, cfg = run_config
+        data = storage.config_to_dict(cfg)
+        data["stepper"]["max_steps"] = 20
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path)]) == 0
+        trace = storage.read_trace(tmp_path / "out" / "trace.csv")
+        assert len(trace["step"]) == 3
+        assert interpolant_calls == [cfg.grid.shape] * 6
+
+        interpolant_calls.clear()
+        final = str(tmp_path / "out" / "ckpt_final.okpf")
+        assert main(["energy", "--config", str(path), "--checkpoint", final]) == 0
+        assert interpolant_calls == [cfg.grid.shape] * 2
+        out = capsys.readouterr().out
+        mass_u, mass_v = (float(line.split()[1]) for line in out.splitlines()
+                          if line.startswith("mass_"))
+        assert (mass_u, mass_v) == (trace["mass_u"][-1], trace["mass_v"][-1])
+
     def test_divergence_exits_two(self, run_config, tmp_path, capsys):
         import json
         import numpy as np

@@ -1,10 +1,10 @@
-"""Diffuse energy: well, interpolant, terms, variational derivatives."""
+"""Diffuse energy: well, interpolant, the breakdown of E, variational derivatives."""
 
 import numpy as np
 import pytest
 
 import pacok as pk
-from pacok.energy import interpolant_pair, nonlocal_term, v_regularization_term
+from pacok.energy import charge_density, interpolant_pair
 from pacok.errors import GridMismatchError
 
 from conftest import potential_W_grad
@@ -17,6 +17,11 @@ def _random_pair(rng, grid=GRID, lo=-0.1, hi=1.1):
     u = pk.Field(grid, rng.uniform(lo, hi, grid.shape))
     v = pk.Field(grid, rng.uniform(lo, hi, grid.shape))
     return u, v
+
+
+def _potential(u, v, params=PARAMS):
+    """phi with -lap(phi) = f(u) - f(v)/zeta, zero mean."""
+    return pk.poisson_solve(pk.Field(u.grid, charge_density(u, v, params)))
 
 
 class TestInterpolant:
@@ -108,7 +113,7 @@ class TestPhysParams:
 class TestPerimeterTerm:
     def test_zero_fields(self):
         zero = pk.Field.full(GRID, 0.0)
-        assert pk.perimeter_term(zero, zero, PARAMS) == 0.0
+        assert pk.total_energy(zero, zero, PARAMS).perimeter == 0.0
 
     def test_epsilon_scaling_of_summands(self, rng):
         u, v = _random_pair(rng)
@@ -117,8 +122,9 @@ class TestPerimeterTerm:
                                 epsilon=2 * base.epsilon, K1=base.K1, K2=base.K2)
         gradient_part = 0.5 * base.epsilon * pk.dirichlet_energy(u)
         well_part = pk.integrate(pk.Field(GRID, pk.potential_W(u.values, v.values))) / base.epsilon
-        assert pk.perimeter_term(u, v, base) == pytest.approx(gradient_part + well_part, rel=1e-13)
-        assert pk.perimeter_term(u, v, doubled) == pytest.approx(
+        assert pk.total_energy(u, v, base).perimeter == pytest.approx(
+            gradient_part + well_part, rel=1e-13)
+        assert pk.total_energy(u, v, doubled).perimeter == pytest.approx(
             2 * gradient_part + 0.5 * well_part, rel=1e-13)
 
     def test_flat_interface_unit_cost(self):
@@ -130,34 +136,35 @@ class TestPerimeterTerm:
         distance = 0.25 - np.abs(np.mod(x - 0.5, 1.0) - 0.5)  # band of width 1/2, two interfaces
         u = pk.Field(grid, np.broadcast_to(pk.tanh_profile(distance, eps), grid.shape).copy())
         v = pk.Field.full(grid, 0.0)
-        per_interface = pk.perimeter_term(u, v, params) / 2.0
+        per_interface = pk.total_energy(u, v, params).perimeter / 2.0
         assert per_interface == pytest.approx(1.0, rel=1e-3)
 
 
 class TestNonlocalTerm:
     def test_zero_fields(self):
         zero = pk.Field.full(GRID, 0.0)
-        value, phi = pk.nonlocal_term(zero, zero, PARAMS)
+        value = pk.total_energy(zero, zero, PARAMS).nonlocal_
+        phi = _potential(zero, zero)
         assert value == 0.0
         assert np.max(np.abs(phi.values)) == 0.0
 
     def test_nonnegative(self, rng):
         u, v = _random_pair(rng)
-        value, _ = pk.nonlocal_term(u, v, PARAMS)
+        value = pk.total_energy(u, v, PARAMS).nonlocal_
         assert value >= 0.0
 
     def test_translation_invariance(self, rng):
         u, v = _random_pair(rng)
-        value, _ = pk.nonlocal_term(u, v, PARAMS)
+        value = pk.total_energy(u, v, PARAMS).nonlocal_
         rolled_u = pk.Field(GRID, np.roll(u.values, (3, 9), axis=(0, 1)))
         rolled_v = pk.Field(GRID, np.roll(v.values, (3, 9), axis=(0, 1)))
-        rolled_value, _ = pk.nonlocal_term(rolled_u, rolled_v, PARAMS)
+        rolled_value = pk.total_energy(rolled_u, rolled_v, PARAMS).nonlocal_
         assert rolled_value == pytest.approx(value, rel=1e-12)
 
     def test_grid_mismatch(self):
         other = pk.GridSpec((32, 32), (2.0, 2.0))
         with pytest.raises(GridMismatchError):
-            pk.nonlocal_term(pk.Field.full(GRID, 0.0), pk.Field.full(other, 0.0), PARAMS)
+            pk.total_energy(pk.Field.full(GRID, 0.0), pk.Field.full(other, 0.0), PARAMS)
 
 
 class TestConstraintTerm:
@@ -167,10 +174,11 @@ class TestConstraintTerm:
         params = pk.PhysParams(zeta=1.0, gamma=1.0, mass=0.5 * area, epsilon=0.05,
                                K1=7.0, K2=11.0)
         half = pk.Field.full(GRID, 0.5)  # f(1/2) = 1/2
-        assert pk.constraint_term(half, half, params) == pytest.approx(0.0, abs=1e-22)
+        assert pk.total_energy(half, half, params).constraint == pytest.approx(0.0, abs=1e-22)
 
     def test_zero_fields_value(self):
-        value = pk.constraint_term(pk.Field.full(GRID, 0.0), pk.Field.full(GRID, 0.0), PARAMS)
+        zero = pk.Field.full(GRID, 0.0)
+        value = pk.total_energy(zero, zero, PARAMS).constraint
         expected = 0.5 * PARAMS.K1 * PARAMS.mass**2 + 0.5 * PARAMS.K2 * (PARAMS.zeta * PARAMS.mass) ** 2
         assert value == pytest.approx(expected, rel=1e-14)
 
@@ -193,7 +201,7 @@ class TestConstraintTerm:
         u = pk.Field.full(grid, level_for(0.99))
         v = pk.Field.full(grid, level_for(1.01))
         expected = 0.5 * 3e4 * 0.01**2 + 0.5 * 4800.0 * 0.01**2  # = 1.74
-        assert pk.constraint_term(u, v, params) == pytest.approx(expected, rel=1e-9)
+        assert pk.total_energy(u, v, params).constraint == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(1.74, rel=1e-12)
 
 
@@ -232,14 +240,38 @@ class TestTotalEnergy:
     def test_parseval_nonlocal_matches_potential(self, rng):
         # N by Parseval from the charge spectrum equals (1/2) int |grad phi|^2
         u, v = _random_pair(rng)
-        nonlocal_, phi = nonlocal_term(u, v, PARAMS)
-        assert pk.total_energy(u, v, PARAMS).nonlocal_ == nonlocal_
-        assert nonlocal_ == pytest.approx(0.5 * pk.dirichlet_energy(phi), rel=1e-12)
+        nonlocal_ = pk.total_energy(u, v, PARAMS).nonlocal_
+        assert nonlocal_ == pytest.approx(0.5 * pk.dirichlet_energy(_potential(u, v)), rel=1e-12)
 
     def test_v_regularization_value(self, rng):
         u, v = _random_pair(rng)
-        assert v_regularization_term(v, PARAMS) == pytest.approx(
+        assert pk.total_energy(u, v, PARAMS).v_regularization == pytest.approx(
             PARAMS.v_reg * pk.dirichlet_energy(v), rel=1e-14)
+
+    def test_masses_are_the_interpolant_integrals(self, rng):
+        u, v = _random_pair(rng)
+        f, _ = interpolant_pair(PARAMS)
+        assert pk.total_energy(u, v, PARAMS).masses == (
+            pk.integrate(pk.Field(GRID, f(u.values))), pk.integrate(pk.Field(GRID, f(v.values))))
+
+    def test_assembled_breakdown_has_no_masses(self):
+        breakdown = pk.EnergyBreakdown.assemble(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert breakdown.total == 1.0 + 5.0 * 2.0 + 3.0 + 4.0
+        assert all(np.isnan(breakdown.masses))
+
+    def test_interpolant_evaluated_once_per_field(self, rng, interpolant_calls):
+        u, v = _random_pair(rng)
+        pk.total_energy(u, v, PARAMS)
+        assert interpolant_calls == [GRID.shape, GRID.shape]
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    def test_inputs_unchanged(self, rng, interpolant):
+        params = pk.PhysParams(zeta=0.8, gamma=120.0, mass=0.3, epsilon=0.08,
+                               K1=200.0, K2=150.0, interpolant=interpolant)
+        u, v = _random_pair(rng)
+        u_before, v_before = u.values.copy(), v.values.copy()
+        pk.total_energy(u, v, params)
+        assert np.array_equal(u.values, u_before) and np.array_equal(v.values, v_before)
 
 
 class TestVariationalDerivatives:
@@ -271,8 +303,7 @@ class TestVariationalDerivatives:
                                epsilon=base.epsilon, K1=base.K1, K2=base.K2)
         du1, _ = pk.variational_derivatives(u, v, base)
         du2, _ = pk.variational_derivatives(u, v, double)
-        _, phi = pk.nonlocal_term(u, v, base)
-        coupling = base.gamma * phi.values * pk.interpolant_deriv(u.values)
+        coupling = base.gamma * _potential(u, v, base).values * pk.interpolant_deriv(u.values)
         assert np.allclose(du2.values - du1.values, coupling, rtol=1e-10, atol=1e-12)
 
     def test_identity_interpolant_gradient(self, rng):

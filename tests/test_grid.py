@@ -41,6 +41,11 @@ class TestGridSpec:
     def test_field_validation(self):
         with pytest.raises(InvalidFieldError):
             pk.Field(UNIT, np.ones((8, 8)))
+        # the right size in (Nx, Ny) order is refused, not reshaped into a scramble
+        wide = pk.GridSpec((8, 4), (2.0, 1.0))
+        samples = np.arange(32.0).reshape(wide.shape)
+        with pytest.raises(InvalidFieldError):
+            pk.Field(wide, samples.T)
         bad = np.ones(UNIT.shape)
         bad[3, 5] = np.nan
         with pytest.raises(InvalidFieldError):

@@ -104,6 +104,18 @@ class TestBuildBilayer:
         assert u.values[iy, ix] == pytest.approx(1.0, abs=1e-10)
         assert v.values[iy, ix] == pytest.approx(0.0, abs=1e-10)
 
+    def test_ball_honours_u_half_thickness(self):
+        # a core of half-thickness 0.25 around the center, whatever the radius
+        wide = pk.BilayerSpec(shape=pk.Ball(center=CENTER, radius=0.4),
+                              epsilon=0.04, u_half_thickness=0.25, zeta=1.0)
+        exact = pk.BilayerSpec(shape=pk.Ball(center=CENTER, radius=0.25),
+                               epsilon=0.04, zeta=1.0)
+        u, v = pk.build_bilayer(wide, GRID)
+        u_ref, v_ref = pk.build_bilayer(exact, GRID)
+        assert np.array_equal(u.values, u_ref.values)
+        assert np.array_equal(v.values, v_ref.values)
+        assert pk.integrate(u) == pytest.approx(np.pi * 0.25**2, rel=0.02)
+
     def test_slab_and_torus_build(self):
         grid3 = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
         slab = pk.BilayerSpec(
