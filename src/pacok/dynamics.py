@@ -167,8 +167,9 @@ def run(
     for exactly max_steps. Emission: every state before the final one is
     handed to ``on_trace(state, residual)`` and ``on_checkpoint(state)`` when
     its step is a multiple of that callback's cadence (the input state
-    included, with residual NaN); the final state goes to both callbacks
-    once, whatever its step. Each emitted state is one snapshot that owns its
+    included, with residual NaN); the final state goes to ``on_trace`` once,
+    whatever its step, and never to ``on_checkpoint``: the caller has it as
+    the result's state. Each emitted state is one snapshot that owns its
     arrays; it carries ``last_energy`` when traced, and the final one always
     does. The result's state holds that energy and its own copy of the
     arrays; its residual is inf when no step was taken. DivergenceError is
@@ -215,8 +216,8 @@ def run(
             reason = "stationary"
             break
 
-    final = _emit(on_trace is not None, on_checkpoint is not None, energy=True)
-    # the callbacks may keep ``final``; the result gets arrays of its own
+    final = _emit(on_trace is not None, False, energy=True)
+    # on_trace may keep ``final``; the result gets arrays of its own
     final = replace(final, u=Field(grid, u.copy()), v=Field(grid, v.copy()))
     return RunResult(state=final, reason=reason, residual=float(residual) if done else np.inf)
 

@@ -29,8 +29,9 @@ gamma in {1, 1500}, m in {1, 7, 1e2, 1e3, 1e4, 1e6}, :func:`liposome_energy`
 is within 2.4e-15 relative and :func:`radial_potential` within 1.8e-15 of
 max |phi| (at zeta = 1, gamma = 1500, m = 1e4 in 2-D, E/m is 15.0000000003,
 the asymptotic value). The optimizer solves the stationarity conditions
-phrased through the potential drops; it converges at zeta = gamma = 1 up to
-m = 1e9 in 2-D and in 3-D.
+phrased through the potential drops by MINPACK's hybrid method in
+(log R0, log(R1 - R0)); it converges at zeta = gamma = 1 up to m = 1e9 in
+2-D and in 3-D, and at gamma = 1500 in 2-D up to m = 1e9.
 """
 
 from __future__ import annotations
@@ -365,71 +366,6 @@ def stationarity_residual(c: RadialCandidate, gamma: float) -> np.ndarray:
     return np.array([res1, 6.0 * zeta * zeta / g * balance - (3.0 * zeta + 2.0) * res1])
 
 
-def _phi_system(m: float, zeta: float, gamma: float, n: int):
-    """The residuals (phi(R0), B) of :func:`_stationarity` as a function of (R0, R1)."""
-    content = mass_content(m, n)
-
-    def residuals(x):
-        r0, r1 = x
-        if r0 <= 0.0 or r1 <= r0:
-            return None
-        if _pow_step(r0, r1 - r0, n) >= zeta * content:
-            return None  # R3 would drop below R2
-        r2 = (r1**n + content) ** (1.0 / n)
-        r3 = (r0**n + (zeta + 1.0) * content) ** (1.0 / n)
-        return np.array(_stationarity((r0, r1, r2, r3), zeta, gamma, n))
-
-    return residuals
-
-
-def _newton2(residuals, x0, max_iter=60):
-    """Damped Newton with finite-difference Jacobian on a 2-vector system."""
-    x = np.asarray(x0, dtype=np.float64)
-    res = residuals(x)
-    if res is None:
-        raise OptimizationError(f"infeasible initial guess {x0}")
-    norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if norm == 0.0:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            # sized by the inner V thickness, which is far below R0 at large mass
-            h = 1e-7 * max(min(abs(x[j]), abs(x[1] - x[0])), 1e-12)
-            xp = x.copy()
-            xp[j] += h
-            rp = residuals(xp)
-            if rp is None:
-                xp[j] = x[j] - h
-                rp = residuals(xp)
-                if rp is None:
-                    raise OptimizationError("finite-difference stencil left the feasible set")
-                jac[:, j] = (res - rp) / h
-            else:
-                jac[:, j] = (rp - res) / h
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise OptimizationError("singular stationarity Jacobian") from exc
-        damping = 1.0
-        improved = False
-        for _ in range(30):
-            trial = x + damping * delta
-            r_trial = residuals(trial)
-            if r_trial is not None:
-                n_trial = float(np.max(np.abs(r_trial)))
-                if n_trial < norm or n_trial == 0.0:
-                    x, res, norm = trial, r_trial, n_trial
-                    improved = True
-                    break
-            damping *= 0.5
-        if not improved:
-            break
-        if float(np.max(np.abs(damping * delta))) < 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return x, norm
-
-
 def asymptotic_initial_radii(m: float, zeta: float, gamma: float, n: int):
     """(R0, R1) from the leading-order asymptotics; None if infeasible."""
     pred = asymptotic_liposome(m, zeta, gamma, n)
@@ -461,7 +397,12 @@ def _coarse_search(m, zeta, gamma, n):
 
 
 def _optimize_equal_mass(m, zeta, gamma, n):
-    """1-dof search over the pivot (R1^n + R2^n)/2 under equal V masses."""
+    """1-dof search over the pivot (R1^n + R2^n)/2 under equal V masses.
+
+    The bracket starts just above the feasibility floor, where R0 = 0, and
+    doubles until the energy gradient turns positive; Brent's method then
+    finds its zero.
+    """
     # imported here, not at module level: scipy.optimize (with scipy.linalg)
     # is most of the cost of `import pacok`, and stepping never calls it
     from scipy.optimize import brentq
@@ -481,32 +422,53 @@ def _optimize_equal_mass(m, zeta, gamma, n):
             phi0 / zeta - (1.0 + 1.0 / zeta) * (phi1 - phi2)
         )
 
-    pred = asymptotic_liposome(m, zeta, gamma, n, equal_mass=True)
-    floor = (zeta + 1.0) * content / 2.0
-    pivot0 = max(pred.mid_radius**n, 1.5 * floor)
-    lo = hi = pivot0
-    g0 = gradient(pivot0)
-    for _ in range(200):
-        if g0 == 0.0:
-            return equal_mass_candidate(m, zeta, n, lo)
-        if g0 > 0:  # minimum lies to the left
-            hi = lo
-            lo = max(floor * (1.0 + 1e-12), lo / 1.5)
-            if lo >= hi:
-                raise OptimizationError("equal-mass minimum sits at the feasibility floor")
-            g0 = gradient(lo)
-            if g0 <= 0:
-                break
-        else:  # minimum lies to the right
-            lo = hi
-            hi *= 1.5
-            g0 = gradient(hi)
-            if g0 >= 0:
-                break
+    lo = (zeta + 1.0) * content / 2.0 * (1.0 + 1e-12)
+    if gradient(lo) >= 0.0:
+        raise OptimizationError("equal-mass minimum sits at the feasibility floor")
+    # at 2^48 floors the U layer is ~1e-14 of the radius, which doubles barely resolve
+    for _ in range(48):
+        hi = 2.0 * lo
+        if gradient(hi) >= 0.0:
+            break
+        lo = hi
     else:
         raise OptimizationError("failed to bracket the equal-mass stationary pivot")
-    pivot = brentq(gradient, lo, hi, xtol=1e-12 * pivot0, rtol=8.9e-16)
+    pivot = brentq(gradient, lo, hi, xtol=1e-12 * lo, rtol=8.9e-16)
     return equal_mass_candidate(m, zeta, n, pivot)
+
+
+def _solve_free(m, zeta, gamma, n):
+    """Radii at which the stationarity conditions (phi(R0), B) vanish.
+
+    MINPACK's hybrid method solves them in y = (log R0, log(R1 - R0)), so
+    R0 > 0 and R1 > R0 hold at every iterate and the forward-difference steps
+    are relative to R0 and to the inner V thickness, which is far below R0 at
+    large mass. It starts from the asymptotic series or, when that guess is
+    infeasible, from :func:`_coarse_search`.
+    """
+    from scipy.optimize import root  # see _optimize_equal_mass
+
+    content = mass_content(m, n)
+
+    def conditions(y):
+        r0, inner = math.exp(y[0]), math.exp(y[1])
+        if _pow_step(r0, inner, n) >= zeta * content:
+            return math.inf, math.inf  # the outer V layer would be empty
+        r1 = r0 + inner
+        r2 = (r1**n + content) ** (1.0 / n)
+        r3 = (r0**n + (zeta + 1.0) * content) ** (1.0 / n)
+        return _stationarity((r0, r1, r2, r3), zeta, gamma, n)
+
+    r0, r1 = asymptotic_initial_radii(m, zeta, gamma, n) or _coarse_search(m, zeta, gamma, n)
+    try:
+        # factor 0.1: with the default first-step bound (100) small liposomes
+        # run into the evaluation limit
+        y = root(conditions, [math.log(r0), math.log(r1 - r0)], method="hybr",
+                 options={"xtol": 1e-14, "factor": 0.1}).x
+        r0 = math.exp(y[0])
+        return liposome_candidate(m, zeta, n, r0, r0 + math.exp(y[1]))
+    except (OverflowError, InvalidCandidateError) as exc:
+        raise OptimizationError(f"hybrid method left the liposome family: {exc}") from exc
 
 
 def optimize_liposome(
@@ -515,24 +477,20 @@ def optimize_liposome(
     """Constrained minimizer of the liposome energy.
 
     Two free radii (one with ``equal_mass``, which forces
-    R3^n - R2^n = R1^n - R0^n). Initialized from the asymptotic series or,
-    when that guess is infeasible, from the lowest-energy feasible point of
-    a 12-point seed grid, then solved by damped Newton on the stationarity
-    conditions.
+    R3^n - R2^n = R1^n - R0^n). The free radii solve the stationarity
+    conditions by MINPACK's hybrid method in (log R0, log(R1 - R0)) (see
+    :func:`_solve_free`), accepted when :func:`stationarity_residual` is below
+    1e-8; the equal-mass pivot is bracketed from its feasibility floor and
+    found by Brent's method.
     """
     if min(m, zeta, gamma) <= 0:
         raise ValueError("m, zeta, gamma must be positive")
     if equal_mass:
         return _optimize_equal_mass(m, zeta, gamma, n)
-    start = asymptotic_initial_radii(m, zeta, gamma, n)
-    if start is None:
-        start = _coarse_search(m, zeta, gamma, n)
-    residuals = _phi_system(m, zeta, gamma, n)
-    x, _ = _newton2(residuals, start)
-    candidate = liposome_candidate(m, zeta, n, x[0], x[1])
+    candidate = _solve_free(m, zeta, gamma, n)
     check = float(np.max(np.abs(stationarity_residual(candidate, gamma))))
     if not check < 1e-8:
-        raise OptimizationError(f"stationarity residual {check:.3e} after Newton polish")
+        raise OptimizationError(f"stationarity residual {check:.3e} at the hybrid-method solution")
     return candidate
 
 

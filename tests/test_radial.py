@@ -1,5 +1,7 @@
 """Sharp-interface radial theory: energies, potential, optimizers, series, branches."""
 
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -284,13 +286,47 @@ class TestOptimize:
         free = pk.optimize_liposome(1e4, 1.0, 1.0, 3)
         assert pk.liposome_energy(c, 1.0).total > pk.liposome_energy(free, 1.0).total
 
-    @pytest.mark.parametrize("m,zeta,gamma", [(1e9, 1.0, 1.0), (1e6, 0.5, 1500.0)])
+    @pytest.mark.parametrize("m,zeta,gamma", [(1e9, 1.0, 1.0), (1e6, 0.5, 1500.0),
+                                              (1e9, 1.0, 1500.0)])
     def test_large_mass_2d_converges(self, m, zeta, gamma):
-        # the finite-difference step follows the inner V thickness, not R0
+        # the hybrid method works in (log R0, log(R1 - R0)), so its difference
+        # steps follow the inner V thickness, which is far below R0 here
         c = pk.optimize_liposome(m, zeta, gamma, 2)
         assert float(np.max(np.abs(pk.stationarity_residual(c, gamma)))) < 1e-15
         pred = pk.asymptotic_liposome(m, zeta, gamma, 2)
         assert c.thicknesses[1] == pytest.approx(pred.thickness_middle, rel=1e-6)
+
+    def test_empty_outer_layer_refused(self):
+        # the stationary point lies where R3 would fall to R2
+        with pytest.raises(OptimizationError):
+            pk.optimize_liposome(7.0, 0.5, 1.0, 2)
+
+    def test_small_liposome_keeps_its_basin(self):
+        # MINPACK's default first step (factor 100) runs into its evaluation limit here
+        c = pk.optimize_liposome(10 ** (-1 / 3), 0.5, 500.0, 3)
+        expected = (0.03253035048944942, 0.2034340882495248, 0.4921837530874566, 0.5498612111387516)
+        assert c.radii == pytest.approx(expected, rel=1e-12)
+
+    def test_equal_mass_bracket_is_capped(self, monkeypatch):
+        # a gradient that never turns positive exhausts the doublings
+        monkeypatch.setattr(radial, "potential_drops", lambda radii, zeta, n: (-1.0, 0.0, 0.0))
+        with pytest.raises(OptimizationError, match="failed to bracket"):
+            pk.optimize_liposome(1.0, 1.0, 1500.0, 2, equal_mass=True)
+
+    def test_census_refusals(self):
+        # the grid of perfbench/workloads.py (RADIAL_GRID) and its known refusals
+        reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
+        expected = {tuple(p) for p in json.loads(reference.read_text())["analyze"]["radial_refused"]}
+        refused = set()
+        for n, zeta, gamma, m in itertools.product((2, 3), [0.5 + 0.5 * i for i in range(7)],
+                                                   (200.0, 500.0, 1000.0, 1500.0), (1.0, 2.4, 7.0)):
+            try:
+                c = pk.optimize_liposome(m, zeta, gamma, n)
+            except OptimizationError:
+                refused.add((n, zeta, gamma, m))
+                continue
+            assert float(np.max(np.abs(pk.stationarity_residual(c, gamma)))) < 1e-8
+        assert refused == expected
 
     def test_no_interior_minimum_raises(self):
         # at small mass the liposome family minimizes on the micelle boundary
@@ -303,8 +339,9 @@ class TestOptimize:
 
 
 def test_import_defers_scipy_optimize():
-    # stepping never calls scipy.optimize; only the brentq call sites import it
-    code = "import sys, pacok; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+    # stepping never calls scipy.optimize; only the radial and dipole solvers
+    # import it, so neither the package nor the CLI that `pacok run` loads does
+    code = "import sys, pacok, pacok.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(pk.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
