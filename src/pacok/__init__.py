@@ -12,6 +12,7 @@ from .grid import Field, GridSpec, dirichlet_energy, integrate, laplacian, poiss
 from .energy import (
     EnergyBreakdown,
     PhysParams,
+    SplitConstants,
     interpolant,
     interpolant_deriv,
     potential_W,
@@ -21,7 +22,6 @@ from .energy import (
 from .dynamics import (
     RunResult,
     RunState,
-    SplitConstants,
     StepperConfig,
     run,
     screening_check,

@@ -81,7 +81,10 @@ def _build_parser() -> _Parser:
 
 
 def _initial_state(cfg: storage.RunConfig) -> dynamics.RunState:
-    if isinstance(cfg.init, str):
+    """The run's first state: a checkpoint as read, or a shape seed built on
+    the grid; then the perturbation, and for a shape seed the mass rescale."""
+    restart = isinstance(cfg.init, str)
+    if restart:
         state = storage.read_checkpoint(cfg.init)
         if state.u.grid != cfg.grid:
             raise PacokError("checkpoint grid does not match the config grid")
@@ -95,7 +98,7 @@ def _initial_state(cfg: storage.RunConfig) -> dynamics.RunState:
         else:
             u, v = initcond.perforate(state.u, state.v, cfg.perturb.center, cfg.perturb.radius)
         state = dynamics.RunState(u=u, v=v, time=state.time, step=state.step)
-    if cfg.rescale_masses:
+    if cfg.rescale_masses and not restart:
         state = dynamics.RunState(
             u=initcond.mass_rescale(state.u, cfg.params.mass),
             v=initcond.mass_rescale(state.v, cfg.params.zeta * cfg.params.mass),

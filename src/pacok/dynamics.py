@@ -31,7 +31,6 @@ from .energy import (
     EnergyBreakdown,
     ExplicitForce,
     PhysParams,
-    SplitConstants,  # noqa: F401  (re-exported: the split belongs to the scheme)
     charge_density,
     total_energy,
 )
@@ -99,7 +98,9 @@ class _Stepper:
     (the inverses through :func:`~pacok.grid.irfftn_into`), so a step
     allocates nothing field-sized: a warm 32^3 step peaks at ~0.13 MB under
     tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB
-    per field. Between steps the force's ``work`` buffers are free scratch.
+    per field. Between steps the force's ``work`` buffers and ``spec`` are
+    free scratch: :func:`run` takes each step's change in ``work[0]`` and
+    evaluates its energies in ``work[0]``, ``work[1]`` and ``spec``.
     """
 
     def __init__(self, grid, params: PhysParams, cfg: StepperConfig):
@@ -136,10 +137,11 @@ def _max_change(new: np.ndarray, old: np.ndarray, work: np.ndarray) -> float:
     return float(work.max())
 
 
-def _with_energy(state: RunState, params: PhysParams) -> RunState:
-    """``state`` with ``last_energy`` set; a non-finite energy is divergence."""
+def _with_energy(state: RunState, params: PhysParams, buffers) -> RunState:
+    """``state`` with ``last_energy`` set, evaluated in ``buffers`` (see
+    :func:`~pacok.energy.total_energy`); a non-finite energy is divergence."""
     try:
-        energy = total_energy(state.u, state.v, params)
+        energy = total_energy(state.u, state.v, params, buffers)
     except OverflowError:
         raise DivergenceError(state.step, f"energy overflowed at step {state.step}") from None
     if not math.isfinite(energy.total):
@@ -181,6 +183,7 @@ def run(
     # u+ and v+ alternate between two buffer pairs; the input is only read
     pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
     work = stepper.force.work[0]
+    energy_buffers = (*stepper.force.work[:2], stepper.force.spec)
     u, v = state.u.values, state.v.values
     check_stationary = np.isfinite(cfg.stop_tol)
     residual = np.nan
@@ -191,7 +194,7 @@ def run(
         current = RunState(Field(grid, u.copy()), Field(grid, v.copy()),
                            state.time + done * cfg.dt, state.step + done)
         if trace or energy:
-            current = _with_energy(current, params)
+            current = _with_energy(current, params, energy_buffers)
         if trace:
             on_trace(current, residual)
         if checkpoint:

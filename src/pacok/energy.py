@@ -14,7 +14,10 @@ the one-sided quadratics are C^1 with the kink derivative set to 0, so the
 gradient of W is continuous.
 
 :func:`total_energy` is the one evaluation of E; its :class:`EnergyBreakdown`
-carries the four terms, the total and the masses int f(u), int f(v).
+carries the four terms, the total and the masses int f(u), int f(v). It takes
+three FFTs and writes through two field buffers and one half-spectrum buffer,
+which the caller may lend: the run loop lends its stepper's, so the energies
+of a run allocate nothing field-sized.
 """
 
 from __future__ import annotations
@@ -86,9 +89,6 @@ class SplitConstants:
     a_uv: float = 27.0
     a_vv: float = 54.0
 
-    def hessian(self) -> np.ndarray:
-        return np.array([[self.a_uu, self.a_uv], [self.a_uv, self.a_vv]])
-
 
 SPLIT = SplitConstants()
 
@@ -115,10 +115,17 @@ class EnergyBreakdown:
         return cls(perimeter, nonlocal_, constraint, v_regularization, total, masses)
 
 
-def interpolant(z):
-    """Cubic interpolant f(z) = 3z^2 - 2z^3 with f(0)=0, f(1)=1."""
+def interpolant(z, out=None):
+    """Cubic interpolant f(z) = 3z^2 - 2z^3 with f(0)=0, f(1)=1.
+
+    Evaluated as (3 - 2z)*z*z, into ``out`` when given (it must not alias z).
+    """
     z = np.asarray(z, dtype=np.float64)
-    return (3.0 - 2.0 * z) * z * z
+    f = np.multiply(z, -2.0, out=out)
+    f += 3.0
+    f *= z
+    f *= z
+    return f
 
 
 def interpolant_deriv(z):
@@ -127,9 +134,12 @@ def interpolant_deriv(z):
     return 6.0 * z * (1.0 - z)
 
 
-def _identity(z):
-    """f(z) = z, as a new array: callers may write into f's result."""
-    return np.array(z, dtype=np.float64)
+def _identity(z, out=None):
+    """f(z) = z, as a new array or in ``out``: callers may write into f's result."""
+    if out is None:
+        return np.array(z, dtype=np.float64)
+    np.copyto(out, z)
+    return out
 
 
 def _identity_deriv(z):
@@ -166,31 +176,66 @@ def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
     return f(u.values) - f(v.values) / params.zeta
 
 
-def total_energy(u: Field, v: Field, params: PhysParams) -> EnergyBreakdown:
+def _well_integral(grid: GridSpec, u: np.ndarray, v: np.ndarray,
+                   a: np.ndarray, b: np.ndarray) -> float:
+    """int W(u, v) through the scratch fields ``a`` and ``b``, with no temporaries.
+
+    W = 18 s^2 + 13.5((v - clip(v, 0, 1))^2 + overlap^2) with s = u - u^2 and
+    overlap = max(u + v - 1, 0): :func:`potential_W`, whose two one-sided v
+    penalties (at most one nonzero) fold into one square. Each of the three
+    integrals is one ``vdot``.
+    """
+    np.multiply(u, u, out=a)
+    np.subtract(u, a, out=a)
+    well = np.vdot(a, a)
+    np.clip(v, 0.0, 1.0, out=b)
+    np.subtract(v, b, out=b)
+    outside = np.vdot(b, b)
+    np.add(u, v, out=b)
+    b -= 1.0
+    np.maximum(b, 0.0, out=b)
+    overlap = np.vdot(b, b)
+    return grid.cell_volume * float(18.0 * well + 13.5 * (outside + overlap))
+
+
+def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> EnergyBreakdown:
     """P, N, C, R, E and the masses; f(u) and f(v) once each, three FFTs.
 
-    N = (1/2)*sum |w_hat|^2/|k|^2 by Parseval, w = f(u) - f(v)/zeta.
+    ``buffers`` is (a, b, spec): two C-contiguous float64 arrays shaped
+    ``grid.shape`` and one complex128 array shaped ``grid.spectrum_shape``,
+    all overwritten and none aliasing u or v. Without it the call allocates
+    them, and nothing else field-sized.
+
+    f(u) and f(v) go into a and b and give the masses; the charge density
+    w = f(u) - f(v)/zeta replaces f(u), and N = (1/2)*sum |w_hat|^2/|k|^2 by
+    Parseval. The Dirichlet integrals of u and v are Parseval sums of their
+    spectra, and int W is three dot products (:func:`_well_integral`). All
+    three transforms go into ``spec``; each Parseval sum forms |spec|^2, and
+    N's sum 1/|k|^2, in a's and b's memory.
     """
     grid = require_same_grid(u, v)
+    if buffers is None:
+        buffers = (np.empty(grid.shape), np.empty(grid.shape),
+                   np.empty(grid.spectrum_shape, dtype=np.complex128))
+    a, b, spec = buffers
+    uu, vv = u.values, v.values
     f, _ = interpolant_pair(params)
-    fu, fv = f(u.values), f(v.values)
-    masses = integrate_array(grid, fu), integrate_array(grid, fv)
-    # w in f(u)'s buffer, and each array freed once read: holding f(u), f(v)
-    # or the spectrum longer raises the peak and moves later allocations
-    fv /= params.zeta
-    fu -= fv
-    del fv
-    w_hat = np.fft.rfftn(fu)
-    del fu
-    nonlocal_ = 0.5 * parseval_sum(grid, w_hat, _inv_k_squared(grid))
-    del w_hat
+    masses = integrate_array(grid, f(uu, out=a)), integrate_array(grid, f(vv, out=b))
+    b /= params.zeta
+    a -= b
+    np.fft.rfftn(a, out=spec)
+    # half-spectrum-shaped views of the field buffers, for the Parseval sums
+    half = math.prod(grid.spectrum_shape)
+    square, inv_k2 = (z.reshape(-1)[:half].reshape(grid.spectrum_shape) for z in (a, b))
+    nonlocal_ = 0.5 * parseval_sum(grid, spec, _inv_k_squared(grid, out=inv_k2), square)
+    grad_u = dirichlet_energy(u, spec, square)
+    grad_v = dirichlet_energy(v, spec, square)
     eps = params.epsilon
-    perimeter = (0.5 * eps * dirichlet_energy(u)
-                 + integrate_array(grid, potential_W(u.values, v.values)) / eps)
+    perimeter = 0.5 * eps * grad_u + _well_integral(grid, uu, vv, a, b) / eps
     constraint = 0.5 * params.K1 * (params.mass - masses[0]) ** 2 + 0.5 * params.K2 * (
         params.zeta * params.mass - masses[1]
     ) ** 2
-    v_regularization = params.v_reg * dirichlet_energy(v)
+    v_regularization = params.v_reg * grad_v
     return EnergyBreakdown.assemble(perimeter, nonlocal_, constraint, v_regularization,
                                     params.gamma, masses)
 
@@ -222,8 +267,7 @@ class ExplicitForce:
         self.cubic = params.interpolant == "cubic"
         self.inv_k2 = _inv_k_squared(grid)
         self.work = tuple(np.empty(grid.shape) for _ in range(4))
-        half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)  # rfftn layout
-        self.spec = np.empty(half, dtype=np.complex128)
+        self.spec = np.empty(grid.spectrum_shape, dtype=np.complex128)
 
     def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
         """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only."""

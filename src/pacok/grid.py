@@ -69,6 +69,12 @@ class GridSpec:
         return tuple(reversed(self.points))
 
     @property
+    def spectrum_shape(self) -> tuple[int, ...]:
+        """Array shape of the ``rfftn`` coefficients: the last axis halved, plus one."""
+        shape = self.shape
+        return shape[:-1] + (shape[-1] // 2 + 1,)
+
+    @property
     def size(self) -> int:
         return math.prod(self.points)  # exact: np.prod wraps at 2**63
 
@@ -118,31 +124,22 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
     return k2
 
 
-def _inv_k_squared(grid: GridSpec) -> np.ndarray:
-    """1/|k|^2 on the rfftn layout, with the zero mode pinned to 0.
+def _inv_k_squared(grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """1/|k|^2 on the rfftn layout, with the zero mode pinned to 0; written
+    into ``out`` (shaped ``grid.spectrum_shape``) when given.
 
     Not cached: it is as large as |k|^2, and a cached copy measured 1-3 MB more
     peak RSS on the analyze benchmark workload. ``ExplicitForce`` keeps one per
     instance, so time stepping builds it once per run and a step allocates
-    nothing field-sized; ``total_energy`` and ``poisson_solve`` build it on
-    every call.
+    nothing field-sized; ``total_energy`` forms it in field memory it already
+    holds, and ``poisson_solve`` builds it on every call.
     """
     k2 = _k_squared(grid)
-    inv = np.zeros_like(k2)
-    np.divide(1.0, k2, out=inv, where=k2 > 0)
+    inv = np.empty(k2.shape) if out is None else out
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, k2, out=inv)
+    inv[(0,) * grid.dim] = 0.0  # the zero mode, the only one with |k| = 0
     return inv
-
-
-@lru_cache(maxsize=64)
-def _parseval_weights(grid: GridSpec) -> np.ndarray:
-    """Multiplicity of each rfftn coefficient in the full spectrum."""
-    nx = grid.points[0]
-    w = np.full(nx // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0  # Nyquist plane is self-conjugate for even nx
-    shape = [1] * grid.dim
-    shape[-1] = w.size
-    return w.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,14 +222,30 @@ def integrate_array(grid: GridSpec, values: np.ndarray) -> float:
     return grid.cell_volume * float(values.sum())
 
 
-def dirichlet_energy(f: Field) -> float:
-    """Integral of |grad f|^2 via Parseval."""
-    return parseval_sum(f.grid, np.fft.rfftn(f.values), _k_squared(f.grid))
+def dirichlet_energy(f: Field, spec: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> float:
+    """Integral of |grad f|^2 via Parseval.
+
+    With ``spec`` (complex, shaped ``grid.spectrum_shape``) and ``out`` (see
+    :func:`parseval_sum`) it allocates nothing field-sized; both are overwritten.
+    """
+    return parseval_sum(f.grid, np.fft.rfftn(f.values, out=spec), _k_squared(f.grid), out)
 
 
-def parseval_sum(grid: GridSpec, spec: np.ndarray, multiplier: np.ndarray) -> float:
+def parseval_sum(grid: GridSpec, spec: np.ndarray, multiplier: np.ndarray,
+                 out: np.ndarray | None = None) -> float:
     """Integral of g*M(g) over the box, where g has rfftn coefficients ``spec``
-    and M is the real symmetric Fourier multiplier ``multiplier``."""
-    weights = _parseval_weights(grid)
-    total = float(np.sum(weights * multiplier * (spec.real ** 2 + spec.imag ** 2)))
+    and M is the real symmetric Fourier multiplier ``multiplier``.
+
+    With ``out``, a float64 array shaped like ``spec`` that aliases neither
+    ``spec`` nor ``multiplier``, the sum allocates nothing field-sized:
+    |spec|^2 is formed in ``out``, and ``spec``'s imaginary part is
+    overwritten on the way.
+    """
+    square = np.multiply(spec.real, spec.real, out=out)
+    square += np.multiply(spec.imag, spec.imag, out=None if out is None else spec.imag)
+    square *= multiplier
+    # every coefficient stands for its conjugate too, but those of the planes
+    # k_x = 0 and k_x = Nyquist (nx is even), which are self-conjugate
+    total = 2.0 * float(square.sum()) - float(square[..., 0].sum()) - float(square[..., -1].sum())
     return grid.cell_volume / grid.size * total

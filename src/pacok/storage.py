@@ -63,7 +63,7 @@ class RunConfig:
     init: initcond.BilayerSpec | str  # seed spec, or a checkpoint path
     perturb: NoisePerturbation | HolePerturbation | None = None
     output_dir: str = "out"
-    rescale_masses: bool = True
+    rescale_masses: bool = True  # a shape seed's, after its perturbation; never a checkpoint's
 
 
 # One tag table per tagged union; encoding and decoding both read it.

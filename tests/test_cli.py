@@ -201,6 +201,23 @@ class TestRunAndFriends:
         assert trace["step"][0] == 0.0
         assert sorted(p.name for p in out_dir.glob("ckpt_*")) == ["ckpt_final.okpf"]
 
+    def test_zero_step_restart_leaves_the_state_alone(self, run_config, tmp_path):
+        # rescale_masses applies to shape seeds: a restart resumes the state as written
+        path, cfg = run_config
+        data = storage.config_to_dict(cfg)
+        data["stepper"]["max_steps"] = 50
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path)]) == 0
+        start = tmp_path / "start.okpf"
+        (tmp_path / "out" / "ckpt_final.okpf").rename(start)
+        data["stepper"]["max_steps"] = 0
+        data["init"] = {"checkpoint": str(start)}
+        data["output_dir"] = str(tmp_path / "restart")
+        assert data["rescale_masses"]
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path)]) == 0
+        assert (tmp_path / "restart" / "ckpt_final.okpf").read_bytes() == start.read_bytes()
+
     def test_non_finite_checkpoint_length_exits_three(self, run_config, capsys, tmp_path):
         path, cfg = run_config
         assert main(["run", "--config", str(path)]) == 0

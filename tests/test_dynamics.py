@@ -65,7 +65,7 @@ class TestSplitW:
         assert np.allclose(w1 + w2, pk.potential_W(u, v), rtol=1e-14, atol=1e-14)
 
     def test_w1_hessian_positive_definite(self):
-        hessian = pk.SplitConstants().hessian()
+        hessian = np.array([[SPLIT.a_uu, SPLIT.a_uv], [SPLIT.a_uv, SPLIT.a_vv]])
         assert np.linalg.det(hessian) == pytest.approx(3969.0)
         assert np.trace(hessian) == pytest.approx(141.0)
         assert np.all(np.linalg.eigvalsh(hessian) > 0)
@@ -245,6 +245,33 @@ class TestWorkspaceStepper:
         finally:
             tracemalloc.stop()
         assert peak < state.u.values.nbytes  # one field: 262 144 B
+
+    def test_warm_energy_allocates_less_than_one_field(self):
+        grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
+        state, params = _noisy_shell(grid, "cubic")
+        force = _Stepper(grid, params, CFG).force
+        buffers = (*force.work[:2], force.spec)
+        dynamics.total_energy(state.u, state.v, params, buffers)  # warm
+        tracemalloc.start()
+        try:
+            dynamics.total_energy(state.u, state.v, params, buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.u.values.nbytes  # one field: 262 144 B
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    @pytest.mark.parametrize("points,lengths", [((32, 32), (2.0, 2.0)),
+                                                ((16, 16, 16), (2.0, 2.0, 2.0))])
+    def test_run_energies_equal_standalone(self, points, lengths, interpolant):
+        grid = pk.GridSpec(points, lengths)
+        state, params = _noisy_shell(grid, interpolant)
+        cfg = replace(CFG, max_steps=4, stop_tol=np.inf, trace_every=2)
+        traced = []
+        pk.run(state, params, cfg, on_trace=lambda s, r: traced.append(s))
+        assert [s.step for s in traced] == [0, 2, 4]
+        for current in traced:
+            assert current.last_energy == pk.total_energy(current.u, current.v, params)
 
     def test_six_ffts_per_step(self, fft_calls):
         state = _liposome_state()

@@ -1,10 +1,12 @@
 """Diffuse energy: well, interpolant, the breakdown of E, variational derivatives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pacok as pk
-from pacok.energy import charge_density, interpolant_pair
+from pacok.energy import _well_integral, charge_density, interpolant_pair
 from pacok.errors import GridMismatchError
 
 from conftest import potential_W_grad
@@ -35,6 +37,13 @@ class TestInterpolant:
     def test_flat_endpoints(self):
         assert pk.interpolant_deriv(0.0) == 0.0
         assert pk.interpolant_deriv(1.0) == 0.0
+
+    def test_out_is_the_allocating_form(self, rng):
+        z = rng.uniform(-0.5, 1.5, (7, 9))
+        out = np.empty_like(z)
+        assert pk.interpolant(z, out=out) is out
+        assert np.array_equal(out, (3.0 - 2.0 * z) * z * z)
+        assert np.array_equal(pk.interpolant(z), out)
 
     def test_derivative_matches_difference(self):
         z = np.linspace(-0.4, 1.4, 37)
@@ -272,6 +281,68 @@ class TestTotalEnergy:
         u_before, v_before = u.values.copy(), v.values.copy()
         pk.total_energy(u, v, params)
         assert np.array_equal(u.values, u_before) and np.array_equal(v.values, v_before)
+
+
+KERNEL_GRIDS = [pk.GridSpec((32, 24), (1.3, 1.0)), pk.GridSpec((16, 12, 20), (1.0, 0.8, 1.2))]
+
+
+def _params(interpolant):
+    return pk.PhysParams(zeta=0.8, gamma=120.0, mass=0.3, epsilon=0.08, K1=200.0, K2=150.0,
+                         interpolant=interpolant)
+
+
+class TestEnergyKernel:
+    """total_energy's pieces against the allocating oracles they replaced."""
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["2d", "3d"])
+    def test_well_part_is_the_integral_of_potential_W(self, rng, grid, interpolant):
+        params = _params(interpolant)
+        u, v = _random_pair(rng, grid, lo=-0.3, hi=1.3)
+        eps = params.epsilon
+        oracle = pk.integrate(pk.Field(grid, pk.potential_W(u.values, v.values))) / eps
+        scratch = np.empty(grid.shape), np.empty(grid.shape)
+        assert _well_integral(grid, u.values, v.values, *scratch) / eps == pytest.approx(
+            oracle, rel=1e-14, abs=0.0)
+        perimeter = pk.total_energy(u, v, params).perimeter
+        assert perimeter == pytest.approx(0.5 * eps * pk.dirichlet_energy(u) + oracle,
+                                          rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["2d", "3d"])
+    def test_dirichlet_terms(self, rng, grid, interpolant):
+        params = _params(interpolant)
+        # u in {0, 1} and v = 0 zero the well exactly: P is the u Dirichlet term alone
+        u = pk.Field(grid, rng.integers(0, 2, grid.shape).astype(np.float64))
+        v = pk.Field(grid, rng.uniform(-0.1, 1.1, grid.shape))
+        zero = pk.Field.full(grid, 0.0)
+        assert pk.total_energy(u, zero, params).perimeter == pytest.approx(
+            0.5 * params.epsilon * pk.dirichlet_energy(u), rel=1e-14, abs=0.0)
+        assert pk.total_energy(u, v, params).v_regularization == pytest.approx(
+            params.v_reg * pk.dirichlet_energy(v), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["2d", "3d"])
+    def test_lent_buffers_give_the_same_breakdown(self, rng, grid, interpolant):
+        params = _params(interpolant)
+        u, v = _random_pair(rng, grid)
+        # dirty buffers: every one is written before it is read
+        buffers = (np.full(grid.shape, np.nan), np.full(grid.shape, np.inf),
+                   np.full(grid.spectrum_shape, np.nan, dtype=np.complex128))
+        assert pk.total_energy(u, v, params, buffers) == pk.total_energy(u, v, params)
+
+    def test_standalone_allocates_its_three_buffers_only(self, rng):
+        grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
+        u, v = _random_pair(rng, grid)
+        pk.total_energy(u, v, PARAMS)  # warm the wavenumber caches
+        tracemalloc.start()
+        try:
+            pk.total_energy(u, v, PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        half_spectrum = 16 * int(np.prod(grid.spectrum_shape))
+        assert peak <= 2 * u.values.nbytes + half_spectrum + 64 * 1024
 
 
 class TestVariationalDerivatives:

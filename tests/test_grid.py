@@ -146,6 +146,15 @@ class TestDirichletEnergy:
         by_parts = pk.integrate(pk.Field(UNIT, f.values * (-pk.laplacian(f).values)))
         assert pk.dirichlet_energy(f) == pytest.approx(by_parts, rel=1e-10)
 
+    def test_white_noise_with_and_without_buffers(self, rng):
+        # every mode, the Nyquist planes included, at its multiplicity in the full spectrum
+        grid = pk.GridSpec((12, 10, 8), (1.2, 1.0, 0.8))
+        f = pk.Field(grid, rng.normal(size=grid.shape))
+        by_parts = pk.integrate(pk.Field(grid, f.values * (-pk.laplacian(f).values)))
+        assert pk.dirichlet_energy(f) == pytest.approx(by_parts, rel=1e-12)
+        spec = np.empty(grid.spectrum_shape, dtype=np.complex128)
+        assert pk.dirichlet_energy(f, spec, np.empty(grid.spectrum_shape)) == pk.dirichlet_energy(f)
+
     def test_nonnegative_zero_iff_constant(self, rng):
         f = band_limited(UNIT, rng)
         assert pk.dirichlet_energy(f) > 0
