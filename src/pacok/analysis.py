@@ -44,6 +44,8 @@ def fit_energy_mass(points, fix_p: float | None = None) -> FitResult:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DegenerateFitError("need at least 3 (m, ratio) points")
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateFitError("points must be finite")
     m, ratio = pts[:, 0], pts[:, 1]
     if len(np.unique(m)) < pts.shape[0]:
         raise DegenerateFitError("m values must be distinct")

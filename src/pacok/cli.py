@@ -229,23 +229,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_render(args) -> int:
     state = storage.read_checkpoint(args.checkpoint)
-    if state.u.grid.dim == 2:
-        if args.stack or args.index is not None:
-            flag = "--stack" if args.stack else "--index"
-            raise ValueError(f"{flag} needs a 3-D checkpoint; a 2-D one renders as a single image")
-        storage.render_cross_section(state.u, state.v, None, args.out)
-        print(f"wrote {args.out}")
-        return 0
-    axis = {"x": 0, "y": 1, "z": 2}[args.axis]
+    if state.u.grid.dim == 2 and (args.stack or args.index is not None):
+        flag = "--stack" if args.stack else "--index"
+        raise ValueError(f"{flag} needs a 3-D checkpoint; a 2-D one renders as a single image")
     if args.stack:
-        base = Path(args.out)
-        for index in range(state.u.grid.points[axis]):
-            target = base.with_name(f"{base.stem}_{index:03d}{base.suffix or '.png'}")
-            storage.render_cross_section(state.u, state.v, (args.axis, index), target)
-        print(f"wrote {state.u.grid.points[axis]} planes to {base.parent}")
+        count = storage.render_stack(state.u, state.v, args.axis, args.out)
+        print(f"wrote {count} planes to {Path(args.out).parent}")
         return 0
-    index = args.index if args.index is not None else state.u.grid.points[axis] // 2
-    storage.render_cross_section(state.u, state.v, (args.axis, index), args.out)
+    storage.render_cross_section(state.u, state.v, (args.axis, args.index), args.out)
     print(f"wrote {args.out}")
     return 0
 

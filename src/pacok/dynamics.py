@@ -35,7 +35,7 @@ from .energy import (
     total_energy,
 )
 from .errors import DivergenceError
-from .grid import Field, _k_squared, irfftn_into, poisson_solve, require_same_grid
+from .grid import Field, _k_squared, irfftn_into, poisson_solve, require_same_grid, whole_number
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class StepperConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.stop_tol > 0:  # inf allowed: it switches the stationarity check off
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
+        for name in ("max_steps", "checkpoint_every", "trace_every"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         if self.checkpoint_every <= 0 or self.trace_every <= 0:

@@ -14,12 +14,23 @@ Arrays are stored C-ordered with x as the fastest axis, i.e. a field on an
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridMismatchError, InvalidFieldError
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; a ValueError that names ``name`` unless it is a whole number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -38,7 +49,7 @@ class GridSpec:
     lengths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        points = tuple(int(n) for n in self.points)
+        points = tuple(whole_number(f"points[{axis}]", n) for axis, n in enumerate(self.points))
         lengths = tuple(float(value) for value in self.lengths)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "lengths", lengths)

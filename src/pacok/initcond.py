@@ -35,6 +35,8 @@ def tanh_profile(signed_distance, epsilon: float):
 
 def _wrapped_deltas(grid: GridSpec, center) -> list[np.ndarray]:
     """Minimum-image coordinate offsets from ``center``, broadcastable."""
+    if len(center) != grid.dim:
+        raise ValueError(f"center has {len(center)} components on a {grid.dim}-D grid")
     deltas = []
     for axis, x in enumerate(grid.coords()):
         length = grid.lengths[axis]

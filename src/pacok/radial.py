@@ -28,10 +28,12 @@ point the optimizer solves in n in {2, 3}, zeta in {0.5, 1, 2},
 gamma in {1, 1500}, m in {1, 7, 1e2, 1e3, 1e4, 1e6}, :func:`liposome_energy`
 is within 2.4e-15 relative and :func:`radial_potential` within 1.8e-15 of
 max |phi| (at zeta = 1, gamma = 1500, m = 1e4 in 2-D, E/m is 15.0000000003,
-the asymptotic value). The optimizer solves the stationarity conditions
-phrased through the potential drops by MINPACK's hybrid method in
-(log R0, log(R1 - R0)); it converges at zeta = gamma = 1 up to m = 1e9 in
-2-D and in 3-D, and at gamma = 1500 in 2-D up to m = 1e9.
+the asymptotic value). The stationarity conditions (phi(R0), B) have one
+definition, :func:`_stationarity`, which the free solve, the equal-mass
+search and :func:`stationarity_residual` all read. The free solve is
+MINPACK's hybrid method in (log R0, log(R1 - R0)); it converges at
+zeta = gamma = 1 up to m = 1e9 in 2-D and in 3-D, and at gamma = 1500 in
+2-D up to m = 1e9.
 """
 
 from __future__ import annotations
@@ -51,14 +53,21 @@ _FOUR_PI = 4.0 * math.pi
 ZETA0 = 2.0 * (math.sqrt(2.0) - 1.0)
 
 
-def mass_content(m: float, n: int) -> float:
-    """R2^n - R1^n implied by the mass m."""
-    return m / math.pi if n == 2 else 3.0 * m / _FOUR_PI
-
-
 def _ball_coef(n: int) -> float:
     """|B(R)| = _ball_coef * R^n."""
     return math.pi if n == 2 else _FOUR_PI / 3.0
+
+
+def mass_content(m: float, n: int) -> float:
+    """R2^n - R1^n implied by the mass m."""
+    return m / _ball_coef(n)
+
+
+def _require_positive(**values: float) -> None:
+    """A ValueError naming the first value that is not finite and positive."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -111,17 +120,19 @@ class RadialCandidate:
         return RadialCandidate(self.n, self.zeta, tuple(r * scale for r in self.radii))
 
 
+def _outer_radii(r0: float, r1: float, content: float, zeta: float, n: int) -> tuple[float, float]:
+    """(R2, R3) of the mass constraints, given (R0, R1) and the content R2^n - R1^n."""
+    return (r1**n + content) ** (1.0 / n), (r0**n + (zeta + 1.0) * content) ** (1.0 / n)
+
+
 def liposome_candidate(m: float, zeta: float, n: int, r0: float, r1: float) -> RadialCandidate:
     """Candidate with the free radii (R0, R1); R2, R3 from the constraints."""
-    content = mass_content(m, n)
-    r2 = (r1**n + content) ** (1.0 / n)
-    r3 = (r0**n + (zeta + 1.0) * content) ** (1.0 / n)
-    return RadialCandidate(n, zeta, (r0, r1, r2, r3))
+    return RadialCandidate(n, zeta, (r0, r1, *_outer_radii(r0, r1, mass_content(m, n), zeta, n)))
 
 
 def micelle_candidate(m: float, zeta: float, n: int) -> RadialCandidate:
-    content = mass_content(m, n)
-    return RadialCandidate(n, zeta, (0.0, 0.0, content ** (1.0 / n), ((zeta + 1.0) * content) ** (1.0 / n)))
+    """The R0 = R1 = 0 member of the liposome family."""
+    return liposome_candidate(m, zeta, n, 0.0, 0.0)
 
 
 def equal_mass_candidate(m: float, zeta: float, n: int, pivot: float) -> RadialCandidate:
@@ -259,8 +270,7 @@ def _micelle_shape(zeta: float, n: int) -> float:
 
 def micelle_energy(m: float, zeta: float, gamma: float, n: int) -> float:
     """Closed-form total energy of the micelle candidate of mass m."""
-    if min(m, zeta, gamma) <= 0:
-        raise ValueError("m, zeta, gamma must be positive")
+    _require_positive(m=m, zeta=zeta, gamma=gamma)
     content = mass_content(m, n)
     shape = _micelle_shape(zeta, n)
     if n == 2:
@@ -274,8 +284,7 @@ def micelle_energy(m: float, zeta: float, gamma: float, n: int) -> float:
 
 def micelle_optimal(zeta: float, gamma: float, n: int) -> tuple[float, float]:
     """(m*, min E/m) of the micelle family."""
-    if min(zeta, gamma) <= 0:
-        raise ValueError("zeta, gamma must be positive")
+    _require_positive(zeta=zeta, gamma=gamma)
     shape = _micelle_shape(zeta, n)
     if n == 2:
         m_star = _FOUR_PI * (gamma * shape) ** (-2.0 / 3.0)
@@ -369,7 +378,7 @@ def stationarity_residual(c: RadialCandidate, gamma: float) -> np.ndarray:
 def asymptotic_initial_radii(m: float, zeta: float, gamma: float, n: int):
     """(R0, R1) from the leading-order asymptotics; None if infeasible."""
     pred = asymptotic_liposome(m, zeta, gamma, n)
-    thickness = (3.0 / (gamma * (zeta + 1.0))) ** (1.0 / 3.0)
+    thickness = 0.5 * pred.thickness_middle
     r1 = pred.mid_radius - thickness
     r0 = r1 - zeta * thickness
     if r0 <= 0.05 * zeta * thickness or r1 <= r0:
@@ -399,9 +408,11 @@ def _coarse_search(m, zeta, gamma, n):
 def _optimize_equal_mass(m, zeta, gamma, n):
     """1-dof search over the pivot (R1^n + R2^n)/2 under equal V masses.
 
-    The bracket starts just above the feasibility floor, where R0 = 0, and
-    doubles until the energy gradient turns positive; Brent's method then
-    finds its zero.
+    The gradient B + gamma phi(R0)/zeta is read from :func:`_stationarity`;
+    dE/dpivot is _ball_coef(n) times it, a positive factor that moves neither
+    its sign nor its root. The bracket starts just above the feasibility
+    floor, where R0 = 0, and doubles until the gradient turns positive;
+    Brent's method then finds its zero.
     """
     # imported here, not at module level: scipy.optimize (with scipy.linalg)
     # is most of the cost of `import pacok`, and stepping never calls it
@@ -410,17 +421,8 @@ def _optimize_equal_mass(m, zeta, gamma, n):
     content = mass_content(m, n)
 
     def gradient(pivot):
-        cand = equal_mass_candidate(m, zeta, n, pivot)
-        r0, r1, r2, r3 = cand.radii
-        phi0, phi1, phi2 = potential_drops(cand.radii, zeta, n)
-        per_part = (
-            math.pi * (1.0 / r1 + 1.0 / r2)
-            if n == 2
-            else (8.0 * math.pi / 3.0) * (1.0 / r1 + 1.0 / r2)
-        )
-        return per_part + gamma * _ball_coef(n) * (
-            phi0 / zeta - (1.0 + 1.0 / zeta) * (phi1 - phi2)
-        )
+        phi0, balance = _stationarity(equal_mass_candidate(m, zeta, n, pivot).radii, zeta, gamma, n)
+        return balance + gamma * phi0 / zeta
 
     lo = (zeta + 1.0) * content / 2.0 * (1.0 + 1e-12)
     if gradient(lo) >= 0.0:
@@ -455,9 +457,7 @@ def _solve_free(m, zeta, gamma, n):
         if _pow_step(r0, inner, n) >= zeta * content:
             return math.inf, math.inf  # the outer V layer would be empty
         r1 = r0 + inner
-        r2 = (r1**n + content) ** (1.0 / n)
-        r3 = (r0**n + (zeta + 1.0) * content) ** (1.0 / n)
-        return _stationarity((r0, r1, r2, r3), zeta, gamma, n)
+        return _stationarity((r0, r1, *_outer_radii(r0, r1, content, zeta, n)), zeta, gamma, n)
 
     r0, r1 = asymptotic_initial_radii(m, zeta, gamma, n) or _coarse_search(m, zeta, gamma, n)
     try:
@@ -483,8 +483,7 @@ def optimize_liposome(
     1e-8; the equal-mass pivot is bracketed from its feasibility floor and
     found by Brent's method.
     """
-    if min(m, zeta, gamma) <= 0:
-        raise ValueError("m, zeta, gamma must be positive")
+    _require_positive(m=m, zeta=zeta, gamma=gamma)
     if equal_mass:
         return _optimize_equal_mass(m, zeta, gamma, n)
     candidate = _solve_free(m, zeta, gamma, n)
@@ -516,8 +515,7 @@ def asymptotic_liposome(
     m: float, zeta: float, gamma: float, n: int, equal_mass: bool = False
 ) -> AsymptoticPrediction:
     """Two-term series for E/m and the layer geometry as m -> infinity."""
-    if min(m, zeta, gamma) <= 0:
-        raise ValueError("m, zeta, gamma must be positive")
+    _require_positive(m=m, zeta=zeta, gamma=gamma)
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     zp1 = zeta + 1.0
@@ -625,10 +623,6 @@ class MorphologyBranches:
     zeta1: float
     zeta2: float
 
-    bilayer = staticmethod(branch_bilayer)
-    cylinder = staticmethod(branch_cylinder)
-    sphere = staticmethod(branch_sphere)
-
 
 @lru_cache(maxsize=1)
 def thresholds() -> MorphologyBranches:
@@ -650,8 +644,7 @@ class MorphologyResult:
 
 def morphology(zeta: float) -> MorphologyResult:
     """Leading energy-to-mass coefficient c(zeta) and its branch."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
+    _require_positive(zeta=zeta)
     th = thresholds()
     if zeta <= th.zeta1:
         value, branch = branch_bilayer(zeta), "bilayer"
@@ -679,8 +672,7 @@ def helfrich_moduli(zeta: float) -> HelfrichModuli:
     lambda2 changes sign at zeta0 = 2(sqrt(2)-1); below it saddle-splay
     deformations are favored.
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
+    _require_positive(zeta=zeta)
     base = ((zeta + 1.0) / 3.0) ** (2.0 / 3.0)
     lambda1 = 4.0 / 15.0 * (1.0 + 4.0 * zeta + zeta * zeta) / base
     lambda2 = (4.0 - 4.0 * zeta - zeta * zeta) / (5.0 * base)

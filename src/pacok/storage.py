@@ -320,21 +320,32 @@ _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 def render_cross_section(u: Field, v: Field, plane, path) -> None:
     """PNG of a 2-D field or of an axis-aligned section of a 3-D field.
 
-    ``plane`` is None for 2-D fields, else (axis_name, node_index). One pixel
-    per grid node; image rows run top to bottom with the vertical coordinate
-    increasing upward.
+    ``plane`` is (axis_name, node_index) and is ignored for 2-D fields; a
+    None index, or a None plane, takes the middle node of the axis (of z).
+    One pixel per grid node; image rows run top to bottom with the vertical
+    coordinate increasing upward.
     """
     grid = u.grid
     if grid.dim == 2:
         u_plane, v_plane = u.values, v.values
     else:
-        if plane is None:
-            plane = ("z", grid.points[2] // 2)
-        axis_name, index = plane
+        axis_name, index = plane or ("z", None)
         axis = _AXIS_NAMES[axis_name]
+        if index is None:
+            index = grid.points[axis] // 2
         if not 0 <= index < grid.points[axis]:
             raise ValueError(f"plane index {index} outside the {axis_name} axis")
         array_axis = grid.dim - 1 - axis
         u_plane = np.take(u.values, index, axis=array_axis)
         v_plane = np.take(v.values, index, axis=array_axis)
     write_png(path, phase_colors(u_plane, v_plane)[::-1])
+
+
+def render_stack(u: Field, v: Field, axis_name: str, path) -> int:
+    """Every plane of a 3-D field along ``axis_name``, as PATH_NNN.png; returns their count."""
+    base = Path(path)
+    count = u.grid.points[_AXIS_NAMES[axis_name]]
+    for index in range(count):
+        target = base.with_name(f"{base.stem}_{index:03d}{base.suffix or '.png'}")
+        render_cross_section(u, v, (axis_name, index), target)
+    return count

@@ -49,6 +49,14 @@ class TestFitEnergyMass:
         with pytest.raises(DegenerateFitError):
             pk.fit_energy_mass([(1.0, 2.0), (-2.0, 3.0), (3.0, 4.0)])
 
+    @pytest.mark.parametrize("bad", [(1, np.nan), (0, np.inf), (1, -np.inf), (0, np.nan)])
+    @pytest.mark.parametrize("fix_p", [None, 1.0])
+    def test_rejects_non_finite_points(self, bad, fix_p):
+        points = np.array([(1.0, 15.0), (2.0, 14.5), (3.0, 14.2), (4.0, 14.1)])
+        points[2, bad[0]] = bad[1]
+        with pytest.raises(DegenerateFitError, match="finite"):
+            pk.fit_energy_mass(points, fix_p=fix_p)
+
 
 class TestZeroDipoleShift:
     def test_sine_shifts_quarter_period(self):

@@ -105,6 +105,12 @@ class TestRender:
         expected = storage.phase_colors(state.u.values, state.v.values)[::-1]
         assert np.array_equal(decode_png(tmp_path / "p.png"), expected)
 
+    def test_3d_default_is_the_middle_z_plane(self, tmp_path, capsys):
+        state = _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
+        assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
+                     "--out", str(tmp_path / "p.png")]) == 0
+        assert np.array_equal(decode_png(tmp_path / "p.png"), _plane_colors(state, 2, 5))
+
     def test_3d_plane_is_the_phase_colors(self, tmp_path, capsys):
         state = _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
         assert main(["render", "--checkpoint", str(tmp_path / "s.okpf"),
@@ -168,6 +174,10 @@ class TestRoots:
         out = capsys.readouterr().out
         assert "bilayer" in out and "sphere" in out
 
+    def test_non_finite_table_exits_one(self, capsys):
+        assert main(["roots", "--table", "0.5", "nan", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: zeta must be finite and positive")
+
 
 class TestRadial:
     def test_asymptotic_leading_value(self, capsys):
@@ -189,6 +199,15 @@ class TestRadial:
     def test_infeasible_exits_one(self, capsys):
         assert main(["radial", "--n", "3", "--zeta", "1", "--gamma", "1",
                      "--m", "100"]) == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--asymptotic"], ["--equal-mass"]])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_gamma_exits_one(self, capsys, mode, value):
+        assert main(["radial", "--n", "2", "--zeta", "1", "--gamma", value,
+                     "--m", "1", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma must be finite and positive")
 
 
 class TestRunAndFriends:
@@ -318,8 +337,19 @@ class TestRunAndFriends:
         (lambda data: data["params"].update(gamma=float("inf")), "gamma must be"),
         (lambda data: data["params"].update(v_reg=float("inf")), "v_reg must be"),
         (lambda data: data["stepper"].update(stop_tol=float("nan")), "stop_tol must be"),
+        (lambda data: data["grid"].update(points=[32.7, 32]), "points[0] must be"),
+        (lambda data: data["stepper"].update(max_steps=2.5), "max_steps must be"),
+        (lambda data: data["stepper"].update(trace_every=1.5), "trace_every must be"),
+        (lambda data: data["stepper"].update(checkpoint_every=1.5), "checkpoint_every must be"),
+        (lambda data: data["init"]["shape"].update(center=[1.3]), "center has 1"),
+        (lambda data: data["init"]["shape"].update(center=[1.3, 1.3, 1.3]), "center has 3"),
+        (lambda data: data.update(perturb={"kind": "hole", "center": [1.3, 1.3, 0.0], "radius": 0.1}),
+         "center has 3"),
     ], ids=["unknown-key", "missing-section", "unknown-top-level-key", "non-finite-length",
-            "nan-dt", "nan-epsilon", "nan-K1", "inf-gamma", "inf-v_reg", "nan-stop_tol"])
+            "nan-dt", "nan-epsilon", "nan-K1", "inf-gamma", "inf-v_reg", "nan-stop_tol",
+            "fractional-points", "fractional-max_steps", "fractional-trace_every",
+            "fractional-checkpoint_every", "short-seed-center", "long-seed-center",
+            "long-hole-center"])
     def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
         data = json.loads((CONFIGS / "run2d.json").read_text())
         data["grid"]["points"] = [32, 32]
@@ -381,6 +411,13 @@ class TestFit:
         assert main(["fit", "--points", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("a 15")
+
+    def test_non_finite_point_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("m,ratio\n1,15\n2,nan\n3,14\n4,13.5\n")
+        assert main(["fit", "--points", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     def test_from_traces(self, capsys, tmp_path):
         for i, (mass, ratio) in enumerate([(1.0, 10.7), (2.0, 10.5), (4.0, 10.45)]):

@@ -57,6 +57,14 @@ def amplification_matrix(k2: float, dt: float, params, cfg) -> np.ndarray:
     return np.array([[1.0 / den_u, -c_u / den_u], [-c_v / den_v, 1.0 / den_v]])
 
 
+@pytest.mark.parametrize("name", ["max_steps", "checkpoint_every", "trace_every"])
+def test_step_counts_must_be_whole_numbers(name):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        replace(CFG, **{name: 2.5})
+    assert getattr(replace(CFG, **{name: 3.0}), name) == 3
+    assert type(getattr(replace(CFG, **{name: 3.0}), name)) is int
+
+
 class TestSplitW:
     def test_sum_recovers_w(self, rng):
         u = rng.uniform(-0.5, 1.5, 2000)

@@ -25,6 +25,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             pk.GridSpec(points, (1.0,) * len(points))
 
+    @pytest.mark.parametrize("count", [32.7, np.nan, "32", None])
+    def test_rejects_non_integral_counts(self, count):
+        with pytest.raises(ValueError, match=r"points\[0\] must be a whole number"):
+            pk.GridSpec((count, 32), (1.0, 1.0))
+
+    def test_whole_float_and_numpy_counts_become_ints(self):
+        grid = pk.GridSpec((32.0, np.int64(16)), (1.0, 1.0))
+        assert grid.points == (32, 16) and all(type(n) is int for n in grid.points)
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             pk.GridSpec((8, 8), (1.0, -2.0))

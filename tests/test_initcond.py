@@ -142,6 +142,17 @@ class TestBuildBilayer:
         assert curve.points == again.points
 
 
+@pytest.mark.parametrize("center", [(1.3,), (1.3, 1.3, 1.3)])
+def test_center_length_must_match_the_grid(center):
+    with pytest.raises(ValueError, match=f"center has {len(center)} components on a 2-D grid"):
+        initcond.build_bilayer(pk.BilayerSpec(shape=pk.Ball(center=center, radius=0.3),
+                                              epsilon=0.05, zeta=1.0), GRID)
+    u, v = initcond.build_bilayer(pk.BilayerSpec(shape=pk.Ball(center=CENTER, radius=0.3),
+                                                 epsilon=0.05, zeta=1.0), GRID)
+    with pytest.raises(ValueError, match=f"center has {len(center)} components"):
+        initcond.perforate(u, v, center, 0.1)
+
+
 class TestGyroid:
     def test_triply_periodic(self):
         grid = pk.GridSpec((48, 48, 48), (3.51, 3.51, 3.51))

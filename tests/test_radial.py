@@ -328,6 +328,45 @@ class TestOptimize:
             assert float(np.max(np.abs(pk.stationarity_residual(c, gamma)))) < 1e-8
         assert refused == expected
 
+    def test_equal_mass_grid_refusals(self):
+        # 144 points, pinned: 120 solve, and these 24 (all at small gamma*m) are refused
+        expected = {
+            (2, 0.5, 1.0, 1.0), (2, 0.5, 1.0, 7.0), (2, 1.0, 1.0, 1.0), (2, 1.0, 1.0, 7.0),
+            (2, 2.0, 1.0, 1.0), (2, 2.0, 1.0, 7.0), (2, 2.0, 200.0, 1.0), (2, 3.5, 1.0, 1.0),
+            (2, 3.5, 1.0, 7.0), (2, 3.5, 200.0, 1.0), (3, 0.5, 1.0, 1.0), (3, 0.5, 1.0, 7.0),
+            (3, 1.0, 1.0, 1.0), (3, 1.0, 1.0, 7.0), (3, 1.0, 1.0, 100.0), (3, 1.0, 200.0, 1.0),
+            (3, 2.0, 1.0, 1.0), (3, 2.0, 1.0, 7.0), (3, 2.0, 1.0, 100.0), (3, 2.0, 200.0, 1.0),
+            (3, 3.5, 1.0, 1.0), (3, 3.5, 1.0, 7.0), (3, 3.5, 1.0, 100.0), (3, 3.5, 200.0, 1.0),
+        }
+        refused = set()
+        for n, zeta, gamma, m in itertools.product((2, 3), (0.5, 1.0, 2.0, 3.5), (1.0, 200.0, 1500.0),
+                                                   (1.0, 7.0, 1e2, 1e4, 1e6, 1e8)):
+            try:
+                c = pk.optimize_liposome(m, zeta, gamma, n, equal_mass=True)
+            except OptimizationError:
+                refused.add((n, zeta, gamma, m))
+                continue
+            r0, r1, r2, r3 = (r**n for r in c.radii)
+            assert abs((r1 - r0) - (r3 - r2)) < 1e-14 * r3  # equal V masses, to rounding in R3^n
+        assert refused == expected
+
+    @pytest.mark.parametrize("n,zeta,gamma,m,floors", [
+        (2, 0.5, 1.0, 1e4, 1.3), (2, 2.0, 1500.0, 1.0, 3.0), (2, 2.0, 1500.0, 1e2, 1.3),
+        (3, 0.5, 1500.0, 1.0, 1.3), (3, 2.0, 1.0, 1e2, 3.0), (3, 2.0, 1500.0, 1e4, 1.3),
+    ])
+    def test_equal_mass_gradient_is_the_stationarity_balance(self, n, zeta, gamma, m, floors):
+        # dE/dpivot along the equal-mass family = _ball_coef(n) (B + gamma phi(R0)/zeta)
+        pivot = floors * (zeta + 1.0) * radial.mass_content(m, n) / 2.0
+        step = 1e-4 * pivot
+
+        def energy(p):
+            return pk.liposome_energy(radial.equal_mass_candidate(m, zeta, n, p), gamma).total
+
+        slope = (energy(pivot + step) - energy(pivot - step)) / (2.0 * step)
+        radii = radial.equal_mass_candidate(m, zeta, n, pivot).radii
+        phi0, balance = radial._stationarity(radii, zeta, gamma, n)
+        assert slope == pytest.approx(radial._ball_coef(n) * (balance + gamma * phi0 / zeta), rel=1e-6)
+
     def test_no_interior_minimum_raises(self):
         # at small mass the liposome family minimizes on the micelle boundary
         with pytest.raises(OptimizationError):
@@ -336,6 +375,22 @@ class TestOptimize:
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             pk.optimize_liposome(-1.0, 1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name,call", [
+    ("m", lambda x: pk.micelle_energy(x, 1.0, 1.0, 3)),
+    ("gamma", lambda x: radial.micelle_optimal(1.0, x, 2)),
+    ("m", lambda x: pk.optimize_liposome(x, 1.0, 1.0, 3)),
+    ("gamma", lambda x: pk.optimize_liposome(1e4, 1.0, x, 3, equal_mass=True)),
+    ("zeta", lambda x: pk.asymptotic_liposome(1.0, x, 1.0, 2)),
+    ("zeta", lambda x: pk.morphology(x)),
+    ("zeta", lambda x: pk.helfrich_moduli(x)),
+], ids=["micelle_energy", "micelle_optimal", "optimize_liposome", "equal_mass",
+        "asymptotic_liposome", "morphology", "helfrich_moduli"])
+def test_entry_points_refuse_non_finite_and_nonpositive(name, call, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        call(value)
 
 
 def test_import_defers_scipy_optimize():
