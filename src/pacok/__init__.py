@@ -25,7 +25,6 @@ from .dynamics import (
     StepperConfig,
     run,
     screening_check,
-    step,
 )
 from .radial import (
     AsymptoticPrediction,

@@ -52,6 +52,8 @@ def fit_energy_mass(points, fix_p: float | None = None) -> FitResult:
     if np.any(m <= 0):
         raise DegenerateFitError("m values must be positive")
     if fix_p is not None:
+        if not np.isfinite(fix_p):
+            raise DegenerateFitError(f"fix_p must be finite, got {fix_p}")
         return _linear_fit(m, ratio, fix_p)
 
     def rms(p):

@@ -116,8 +116,12 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     state = _initial_state(cfg)
     trace_path = out_dir / "trace.csv"
+    # a restart that steps on skips its input: the run that wrote it traced it last
+    resumed = isinstance(cfg.init, str) and cfg.stepper.max_steps > 0
 
     def on_trace(current, residual):
+        if resumed and current.step == state.step:
+            return
         storage.append_trace(trace_path, current.step, current.time, current.last_energy,
                              current.last_energy.masses, residual)
 

@@ -34,8 +34,8 @@ from .energy import (
     charge_density,
     total_energy,
 )
-from .errors import DivergenceError
-from .grid import Field, _k_squared, irfftn_into, poisson_solve, require_same_grid, whole_number
+from .errors import DivergenceError, require_positive, whole_number
+from .grid import Field, _k_squared, irfftn_into, poisson_solve, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,14 @@ class StepperConfig:
     trace_every: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("L1", "L2", "dt"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        require_positive(L1=self.L1, L2=self.L2, dt=self.dt)
         if not self.stop_tol > 0:  # inf allowed: it switches the stationarity check off
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
         for name in ("max_steps", "checkpoint_every", "trace_every"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if self.checkpoint_every <= 0 or self.trace_every <= 0:
-            raise ValueError("cadences must be positive")
+        require_positive(checkpoint_every=self.checkpoint_every, trace_every=self.trace_every)
 
 
 @dataclass(frozen=True)
@@ -149,13 +145,6 @@ def _with_energy(state: RunState, params: PhysParams, buffers) -> RunState:
     if not math.isfinite(energy.total):
         raise DivergenceError(state.step, f"non-finite energy at step {state.step}")
     return replace(state, last_energy=energy)
-
-
-def step(state: RunState, params: PhysParams, cfg: StepperConfig) -> RunState:
-    """One update of (u, v): a one-step :func:`run` without the stationarity
-    check, so the new state carries its own energy. Raises DivergenceError
-    as :func:`run` does."""
-    return run(state, params, replace(cfg, max_steps=1, stop_tol=math.inf)).state
 
 
 def run(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_positive
 from .grid import (
     Field,
     GridSpec,
@@ -64,10 +65,8 @@ class PhysParams:
     interpolant: str = "cubic"
 
     def __post_init__(self) -> None:
-        for name in ("zeta", "gamma", "mass", "epsilon", "K1", "K2"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        require_positive(zeta=self.zeta, gamma=self.gamma, mass=self.mass,
+                         epsilon=self.epsilon, K1=self.K1, K2=self.K2)
         if self.v_reg is None:
             object.__setattr__(self, "v_reg", (self.epsilon / 2.0) * V_REG_RATIO)
         elif not 0 <= self.v_reg < math.inf:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+Each input rule has one definition here, which every entry point it governs
+calls: :func:`require_positive` (finite and positive, so a config's ``NaN`` or
+``Infinity`` literal fails it), :func:`whole_number` (an int, or an integral
+float) and :func:`require_axes` (one finite component per grid axis). Each
+raises a ValueError, or the subclass its caller passes, naming the argument.
+"""
+
+import math
+import operator
 
 
 class PacokError(Exception):
@@ -55,3 +65,27 @@ class CorruptCheckpointError(PacokError, ValueError):
 
 class UnsupportedVersionError(CorruptCheckpointError):
     """A checkpoint file declares a version this reader does not speak."""
+
+
+def require_positive(*, error: type[ValueError] = ValueError, **values: float) -> None:
+    """An ``error`` naming the first of ``values`` that is not finite and positive."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise error(f"{name} must be finite and positive, got {value}")
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; a ValueError that names ``name`` unless it is a whole number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+
+
+def require_axes(name: str, values, dim: int) -> None:
+    """A ValueError naming ``name`` unless ``values`` is one finite number per grid axis."""
+    if len(values) != dim or not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be one finite number per axis of the {dim}-D grid, "
+                         f"got {tuple(values)}")

@@ -14,23 +14,12 @@ Arrays are stored C-ordered with x as the fastest axis, i.e. a field on an
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidFieldError
-
-
-def whole_number(name: str, value) -> int:
-    """``value`` as an int; a ValueError that names ``name`` unless it is a whole number."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+from .errors import GridMismatchError, InvalidFieldError, require_axes, require_positive, whole_number
 
 
 @dataclass(frozen=True)
@@ -59,8 +48,7 @@ class GridSpec:
             raise ValueError("points and lengths must have the same dimension")
         if any(n < 4 or n % 2 for n in points):
             raise ValueError(f"point counts must be even and >= 4, got {points}")
-        if not all(0 < length < math.inf for length in lengths):
-            raise ValueError(f"box lengths must be finite and positive, got {lengths}")
+        require_positive(**{f"lengths[{axis}]": length for axis, length in enumerate(lengths)})
 
     @property
     def dim(self) -> int:
@@ -216,8 +204,7 @@ def laplacian(f: Field) -> Field:
 
 def translate(f: Field, shift) -> Field:
     """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
-    if len(shift) != f.grid.dim:
-        raise ValueError(f"shift has {len(shift)} components, expected {f.grid.dim}")
+    require_axes("shift", shift, f.grid.dim)
     spec = np.fft.rfftn(f.values)
     for k, t in zip(_wavenumbers(f.grid), shift):
         spec *= np.exp(1j * k * t)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMassError
+from .errors import ZeroMassError, require_axes, require_positive
 from .grid import Field, GridSpec, integrate
 
 _PROFILE_SLOPE = 3.0
@@ -28,15 +28,13 @@ _PROFILE_SLOPE = 3.0
 
 def tanh_profile(signed_distance, epsilon: float):
     """(1 + tanh(3 d / eps)) / 2; 1 deep inside (d >> 0), 0 outside."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    require_positive(epsilon=epsilon)
     return 0.5 * (1.0 + np.tanh(_PROFILE_SLOPE * np.asarray(signed_distance) / epsilon))
 
 
 def _wrapped_deltas(grid: GridSpec, center) -> list[np.ndarray]:
     """Minimum-image coordinate offsets from ``center``, broadcastable."""
-    if len(center) != grid.dim:
-        raise ValueError(f"center has {len(center)} components on a {grid.dim}-D grid")
+    require_axes("center", center, grid.dim)
     deltas = []
     for axis, x in enumerate(grid.coords()):
         length = grid.lengths[axis]
@@ -97,9 +95,11 @@ class Slab:
     radius: float | None = None
 
     def distance(self, grid):
+        require_axes("normal", self.normal, grid.dim)
         deltas = _wrapped_deltas(grid, self.center)
-        normal = np.asarray(self.normal, dtype=np.float64)
-        normal = normal / np.linalg.norm(normal)
+        norm = float(np.linalg.norm(self.normal))
+        require_positive(**{"|normal|": norm})  # with finite components: nonzero
+        normal = np.asarray(self.normal, dtype=np.float64) / norm
         axial = sum(d * comp for d, comp in zip(deltas, normal))
         if self.radius is None:
             dist = np.abs(axial)
@@ -260,22 +260,17 @@ class BilayerSpec:
     zeta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        u_half = self.u_half_thickness
-        if u_half is None:
+        if self.u_half_thickness is None:
             u_half = self.shape.pins_u_half()
             if u_half is None:
                 raise ValueError("this shape does not pin u_half_thickness; pass it")
             object.__setattr__(self, "u_half_thickness", float(u_half))
-        if self.u_half_thickness <= 0:
-            raise ValueError("u_half_thickness must be positive")
         if self.v_thickness is None:
             if self.zeta is None:
                 raise ValueError("v_thickness default needs zeta")
             object.__setattr__(self, "v_thickness", self.zeta * self.u_half_thickness)
-        if self.v_thickness <= 0:
-            raise ValueError("v_thickness must be positive")
+        require_positive(epsilon=self.epsilon, u_half_thickness=self.u_half_thickness,
+                         v_thickness=self.v_thickness)
 
 
 def build_bilayer(spec: BilayerSpec, grid: GridSpec) -> tuple[Field, Field]:

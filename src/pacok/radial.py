@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidCandidateError, OptimizationError, OutOfRangeError
+from .errors import InvalidCandidateError, OptimizationError, OutOfRangeError, require_positive
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -63,13 +63,6 @@ def mass_content(m: float, n: int) -> float:
     return m / _ball_coef(n)
 
 
-def _require_positive(**values: float) -> None:
-    """A ValueError naming the first value that is not finite and positive."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True)
 class RadialCandidate:
     """Radii of a concentric V-U-V candidate with its mass constraints."""
@@ -81,13 +74,12 @@ class RadialCandidate:
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
             raise InvalidCandidateError(f"dimension must be 2 or 3, got {self.n}")
-        if self.zeta <= 0:
-            raise InvalidCandidateError("zeta must be positive")
+        require_positive(zeta=self.zeta, error=InvalidCandidateError)
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
         r0, r1, r2, r3 = radii
-        if not (0.0 <= r0 <= r1 < r2 <= r3):
-            raise InvalidCandidateError(f"radii must satisfy 0 <= R0 <= R1 < R2 <= R3, got {radii}")
+        if not (0.0 <= r0 <= r1 < r2 <= r3 < math.inf):
+            raise InvalidCandidateError(f"radii must satisfy 0 <= R0 <= R1 < R2 <= R3 < inf, got {radii}")
         if (r1 == 0.0) != (r0 == 0.0):
             raise InvalidCandidateError("R0 = 0 < R1 candidates are not supported")
         n = self.n
@@ -270,7 +262,7 @@ def _micelle_shape(zeta: float, n: int) -> float:
 
 def micelle_energy(m: float, zeta: float, gamma: float, n: int) -> float:
     """Closed-form total energy of the micelle candidate of mass m."""
-    _require_positive(m=m, zeta=zeta, gamma=gamma)
+    require_positive(m=m, zeta=zeta, gamma=gamma)
     content = mass_content(m, n)
     shape = _micelle_shape(zeta, n)
     if n == 2:
@@ -284,7 +276,7 @@ def micelle_energy(m: float, zeta: float, gamma: float, n: int) -> float:
 
 def micelle_optimal(zeta: float, gamma: float, n: int) -> tuple[float, float]:
     """(m*, min E/m) of the micelle family."""
-    _require_positive(zeta=zeta, gamma=gamma)
+    require_positive(zeta=zeta, gamma=gamma)
     shape = _micelle_shape(zeta, n)
     if n == 2:
         m_star = _FOUR_PI * (gamma * shape) ** (-2.0 / 3.0)
@@ -483,7 +475,7 @@ def optimize_liposome(
     1e-8; the equal-mass pivot is bracketed from its feasibility floor and
     found by Brent's method.
     """
-    _require_positive(m=m, zeta=zeta, gamma=gamma)
+    require_positive(m=m, zeta=zeta, gamma=gamma)
     if equal_mass:
         return _optimize_equal_mass(m, zeta, gamma, n)
     candidate = _solve_free(m, zeta, gamma, n)
@@ -515,7 +507,7 @@ def asymptotic_liposome(
     m: float, zeta: float, gamma: float, n: int, equal_mass: bool = False
 ) -> AsymptoticPrediction:
     """Two-term series for E/m and the layer geometry as m -> infinity."""
-    _require_positive(m=m, zeta=zeta, gamma=gamma)
+    require_positive(m=m, zeta=zeta, gamma=gamma)
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     zp1 = zeta + 1.0
@@ -578,8 +570,7 @@ class RescaleParams:
     d: int
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        require_positive(rho=self.rho)
         if self.d not in (1, 2, 3):
             raise ValueError("d must be 1, 2 or 3")
 
@@ -644,7 +635,7 @@ class MorphologyResult:
 
 def morphology(zeta: float) -> MorphologyResult:
     """Leading energy-to-mass coefficient c(zeta) and its branch."""
-    _require_positive(zeta=zeta)
+    require_positive(zeta=zeta)
     th = thresholds()
     if zeta <= th.zeta1:
         value, branch = branch_bilayer(zeta), "bilayer"
@@ -672,7 +663,7 @@ def helfrich_moduli(zeta: float) -> HelfrichModuli:
     lambda2 changes sign at zeta0 = 2(sqrt(2)-1); below it saddle-splay
     deformations are favored.
     """
-    _require_positive(zeta=zeta)
+    require_positive(zeta=zeta)
     base = ((zeta + 1.0) / 3.0) ** (2.0 / 3.0)
     lambda1 = 4.0 / 15.0 * (1.0 + 4.0 * zeta + zeta * zeta) / base
     lambda2 = (4.0 - 4.0 * zeta - zeta * zeta) / (5.0 * base)
@@ -693,10 +684,9 @@ def wasserstein_thickness(
     the second-order-modified series eps +- (3/2)|kappa| eps^2. Valid for
     eps |kappa| < 1/3.
     """
-    if eps <= 0:
-        raise OutOfRangeError("eps must be positive")
+    require_positive(eps=eps, error=OutOfRangeError)
     k = abs(kappa)
-    if eps * k >= 1.0 / 3.0:
+    if not eps * k < 1.0 / 3.0:
         raise OutOfRangeError(f"eps*|kappa| = {eps * k} outside the validity window [0, 1/3)")
     if equal_mass:
         shift = 1.5 * k * eps * eps

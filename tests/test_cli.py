@@ -23,6 +23,22 @@ CONFIGS = ROOT / "configs"
 GRIDS = [pk.GridSpec((12, 10), (1.2, 1.0)), pk.GridSpec((6, 8, 10), (0.6, 0.8, 1.0))]
 
 
+def _slab_init(normal):
+    """A config's ``init`` section seeding an infinite slab with this normal."""
+    return {"shape": {"variant": "slab", "center": [1.3, 1.3], "normal": normal,
+                      "half_thickness": 0.1, "radius": None},
+            "epsilon": 0.05, "zeta": 1.0}
+
+
+def _unrescaled_init(**values):
+    """A config edit that sets ``values`` in ``init`` and turns the mass rescale
+    off, so that no rescale stands between the seed and the run."""
+    def edit(data):
+        data["init"].update(values)
+        data["rescale_masses"] = False
+    return edit
+
+
 def _overflow_repro(tmp_path):
     """The shipped 2-D physics at 32^2 and 16x its dt: the fields grow to
     ~1e114 while still finite, and the trace energy overflows first."""
@@ -236,6 +252,8 @@ class TestRunAndFriends:
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "restart" / "ckpt_final.okpf").read_bytes() == start.read_bytes()
+        # a restart that takes no step still traces its one state
+        assert list(storage.read_trace(tmp_path / "restart" / "trace.csv")["step"]) == [50.0]
 
     def test_non_finite_checkpoint_length_exits_three(self, run_config, capsys, tmp_path):
         path, cfg = run_config
@@ -330,7 +348,7 @@ class TestRunAndFriends:
         (lambda data: data["params"].update(gama=1500.0), "'gama'"),
         (lambda data: data.pop("stepper"), "'stepper'"),
         (lambda data: data.update(rescale_mass=False), "'rescale_mass'"),
-        (lambda data: data["grid"].update(lengths=[float("nan"), 2.6]), "box lengths"),
+        (lambda data: data["grid"].update(lengths=[float("nan"), 2.6]), "lengths[0] must be"),
         (lambda data: data["stepper"].update(dt=float("nan")), "dt must be"),
         (lambda data: data["params"].update(epsilon=float("nan")), "epsilon must be"),
         (lambda data: data["params"].update(K1=float("nan")), "K1 must be"),
@@ -341,15 +359,22 @@ class TestRunAndFriends:
         (lambda data: data["stepper"].update(max_steps=2.5), "max_steps must be"),
         (lambda data: data["stepper"].update(trace_every=1.5), "trace_every must be"),
         (lambda data: data["stepper"].update(checkpoint_every=1.5), "checkpoint_every must be"),
-        (lambda data: data["init"]["shape"].update(center=[1.3]), "center has 1"),
-        (lambda data: data["init"]["shape"].update(center=[1.3, 1.3, 1.3]), "center has 3"),
+        (lambda data: data["init"]["shape"].update(center=[1.3]), "center must be one finite"),
+        (lambda data: data["init"]["shape"].update(center=[1.3, 1.3, 1.3]), "got (1.3, 1.3, 1.3)"),
         (lambda data: data.update(perturb={"kind": "hole", "center": [1.3, 1.3, 0.0], "radius": 0.1}),
-         "center has 3"),
+         "center must be one finite number per axis of the 2-D grid, got (1.3, 1.3, 0.0)"),
+        (lambda data: data["init"]["shape"].update(center=[float("nan"), 1.3]), "got (nan, 1.3)"),
+        (lambda data: data.update(init=_slab_init(normal=[0.0, 0.0, 1.0])), "normal must be one"),
+        (lambda data: data.update(init=_slab_init(normal=[0.0, 0.0])), "|normal| must be"),
+        (_unrescaled_init(epsilon=float("inf")), "epsilon must be"),
+        (_unrescaled_init(epsilon=float("nan")), "epsilon must be"),
+        (_unrescaled_init(u_half_thickness=float("inf")), "u_half_thickness must be"),
     ], ids=["unknown-key", "missing-section", "unknown-top-level-key", "non-finite-length",
             "nan-dt", "nan-epsilon", "nan-K1", "inf-gamma", "inf-v_reg", "nan-stop_tol",
             "fractional-points", "fractional-max_steps", "fractional-trace_every",
             "fractional-checkpoint_every", "short-seed-center", "long-seed-center",
-            "long-hole-center"])
+            "long-hole-center", "nan-seed-center", "long-slab-normal", "zero-slab-normal",
+            "inf-init-epsilon", "nan-init-epsilon", "inf-init-u_half_thickness"])
     def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
         data = json.loads((CONFIGS / "run2d.json").read_text())
         data["grid"]["points"] = [32, 32]
@@ -375,6 +400,50 @@ class TestRunAndFriends:
         assert main(["run", "--config", str(path)]) == 0
         state = storage.read_checkpoint(tmp_path / "out2" / "ckpt_final.okpf")
         assert state.step == 10  # restart continued the step counter
+
+    def test_interrupted_and_resumed_run_equals_the_uninterrupted_one(self, tmp_path, capsys):
+        # Byte equality needs the restart step (10) to be a multiple of
+        # trace_every: otherwise the first run's final row, which an
+        # uninterrupted run does not write, is an extra row.
+        data = json.loads((CONFIGS / "run2d.json").read_text())
+        data["grid"]["points"] = [32, 32]
+        data["stepper"].update(max_steps=20, trace_every=10, checkpoint_every=10)
+        path = tmp_path / "run.json"
+
+        def run(config, out_dir):
+            path.write_text(json.dumps(config))
+            assert main(["run", "--config", str(path), "--output", str(out_dir)]) == 0
+
+        run(data, tmp_path / "whole")
+        run({**data, "stepper": {**data["stepper"], "max_steps": 10}}, tmp_path / "split")
+        resumed = {**data, "stepper": {**data["stepper"], "max_steps": 10}, "perturb": None,
+                   "init": {"checkpoint": str(tmp_path / "split" / "ckpt_final.okpf")}}
+        run(resumed, tmp_path / "split")
+
+        # The resumed run's time is the checkpoint's time plus its own steps'
+        # (10*dt + 10*dt), where the uninterrupted run has 20*dt. Rounding can
+        # part the two sums by an ulp; here they agree, as 20*dt = 2*(10*dt).
+        def assert_same_time(a, b):
+            assert abs(a - b) <= np.spacing(max(abs(a), abs(b)))
+
+        whole = (tmp_path / "whole" / "trace.csv").read_text().splitlines()
+        split = (tmp_path / "split" / "trace.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in split[1:]] == ["0", "10", "20"]
+        assert split[0] == whole[0] and len(split) == len(whole)
+        for row_whole, row_split in zip(whole[1:], split[1:]):
+            (step_a, time_a, *rest_a), (step_b, time_b, *rest_b) = (
+                row_whole.split(","), row_split.split(","))
+            assert (step_a, rest_a) == (step_b, rest_b)  # 17 digits: equal text, equal bits
+            assert_same_time(float(time_a), float(time_b))
+        names = sorted(p.name for p in (tmp_path / "whole").glob("ckpt_*.okpf"))
+        assert names == sorted(p.name for p in (tmp_path / "split").glob("ckpt_*.okpf"))
+        assert names == ["ckpt_00000000.okpf", "ckpt_00000010.okpf", "ckpt_final.okpf"]
+        for name in names:
+            a = storage.read_checkpoint(tmp_path / "whole" / name)
+            b = storage.read_checkpoint(tmp_path / "split" / name)
+            assert a.step == b.step
+            assert_same_time(a.time, b.time)
+            assert np.array_equal(a.u.values, b.u.values) and np.array_equal(a.v.values, b.v.values)
 
     def test_stack_render_3d(self, tmp_path, capsys):
         import numpy as np
@@ -418,6 +487,15 @@ class TestFit:
         assert main(["fit", "--points", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fix_p_exits_one(self, capfd, tmp_path, value):
+        # capfd, not capsys: LAPACK reports an illegal argument on the process's stderr
+        path = tmp_path / "points.csv"
+        path.write_text("m,ratio\n1,15\n2,14.5\n3,14\n4,13.5\n")
+        assert main(["fit", "--points", str(path), "--fix-p", value]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: fix_p must be finite") and "DLASCL" not in err
 
     def test_from_traces(self, capsys, tmp_path):
         for i, (mass, ratio) in enumerate([(1.0, 10.7), (2.0, 10.5), (4.0, 10.45)]):

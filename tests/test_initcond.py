@@ -1,5 +1,7 @@
 """Seed construction: profiles, masses, perforation, rescaling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,11 @@ class TestTanhProfile:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             pk.tanh_profile(0.1, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            pk.tanh_profile(0.1, epsilon)
 
 
 class TestBuildBilayer:
@@ -144,12 +151,13 @@ class TestBuildBilayer:
 
 @pytest.mark.parametrize("center", [(1.3,), (1.3, 1.3, 1.3)])
 def test_center_length_must_match_the_grid(center):
-    with pytest.raises(ValueError, match=f"center has {len(center)} components on a 2-D grid"):
+    message = re.escape(f"center must be one finite number per axis of the 2-D grid, got {center}")
+    with pytest.raises(ValueError, match=message):
         initcond.build_bilayer(pk.BilayerSpec(shape=pk.Ball(center=center, radius=0.3),
                                               epsilon=0.05, zeta=1.0), GRID)
     u, v = initcond.build_bilayer(pk.BilayerSpec(shape=pk.Ball(center=CENTER, radius=0.3),
                                                  epsilon=0.05, zeta=1.0), GRID)
-    with pytest.raises(ValueError, match=f"center has {len(center)} components"):
+    with pytest.raises(ValueError, match=message):
         initcond.perforate(u, v, center, 0.1)
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,15 @@ class TestRadialCandidate:
     def test_rejects_bad_ordering(self):
         with pytest.raises(InvalidCandidateError):
             pk.RadialCandidate(2, 1.0, (0.9, 0.7, 1.2, 1.4))
+
+    @pytest.mark.parametrize("zeta,radii,named", [
+        (float("nan"), (0.1, 0.2, 0.3, 0.4), "zeta must be finite and positive"),
+        (1.0, (0.1, 0.2, 0.3, float("inf")), "R3 < inf"),
+    ], ids=["nan-zeta", "inf-R3"])
+    def test_rejects_non_finite(self, zeta, radii, named):
+        # both slip past the mass constraint, whose comparison never fires on NaN
+        with pytest.raises(InvalidCandidateError, match=re.escape(named)):
+            pk.RadialCandidate(2, zeta, radii)
 
     def test_rejects_hollow_core_variant(self):
         # R0 = 0 < R1 configurations are not part of the model
@@ -386,8 +396,9 @@ class TestOptimize:
     ("zeta", lambda x: pk.asymptotic_liposome(1.0, x, 1.0, 2)),
     ("zeta", lambda x: pk.morphology(x)),
     ("zeta", lambda x: pk.helfrich_moduli(x)),
+    ("rho", lambda x: pk.RescaleParams(rho=x, d=2)),
 ], ids=["micelle_energy", "micelle_optimal", "optimize_liposome", "equal_mass",
-        "asymptotic_liposome", "morphology", "helfrich_moduli"])
+        "asymptotic_liposome", "morphology", "helfrich_moduli", "RescaleParams"])
 def test_entry_points_refuse_non_finite_and_nonpositive(name, call, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         call(value)
@@ -554,6 +565,12 @@ class TestWassersteinThickness:
             pk.wasserstein_thickness(0.2, 2.0)
         with pytest.raises(OutOfRangeError):
             pk.wasserstein_thickness(-0.1, 0.5)
+
+    @pytest.mark.parametrize("eps,kappa", [(float("nan"), 0.5), (0.01, float("nan"))],
+                             ids=["nan-eps", "nan-kappa"])
+    def test_refuses_nan(self, eps, kappa):
+        with pytest.raises(OutOfRangeError):
+            pk.wasserstein_thickness(eps, kappa)
 
     def test_sign_convention(self):
         inner, outer = pk.wasserstein_thickness(0.05, -1.5)  # curvature enters via |kappa|
