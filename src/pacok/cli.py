@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -33,7 +34,10 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every later
+    :func:`main` call: parsing keeps no state in it, so reuse is safe."""
     parser = _Parser(prog="pacok", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

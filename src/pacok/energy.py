@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_positive
+from .errors import require_nonnegative, require_positive
 from .grid import (
     Field,
     GridSpec,
@@ -69,8 +69,8 @@ class PhysParams:
                          epsilon=self.epsilon, K1=self.K1, K2=self.K2)
         if self.v_reg is None:
             object.__setattr__(self, "v_reg", (self.epsilon / 2.0) * V_REG_RATIO)
-        elif not 0 <= self.v_reg < math.inf:
-            raise ValueError(f"v_reg must be finite and nonnegative, got {self.v_reg}")
+        else:
+            require_nonnegative(v_reg=self.v_reg)
         if self.interpolant not in ("cubic", "identity"):
             raise ValueError(f"unknown interpolant {self.interpolant!r}")
 

@@ -2,9 +2,10 @@
 
 Each input rule has one definition here, which every entry point it governs
 calls: :func:`require_positive` (finite and positive, so a config's ``NaN`` or
-``Infinity`` literal fails it), :func:`whole_number` (an int, or an integral
-float) and :func:`require_axes` (one finite component per grid axis). Each
-raises a ValueError, or the subclass its caller passes, naming the argument.
+``Infinity`` literal fails it), :func:`require_nonnegative` (finite and
+nonnegative), :func:`whole_number` (an int, or an integral float) and
+:func:`require_axes` (one finite component per grid axis). Each raises a
+ValueError, or the subclass its caller passes, naming the argument.
 """
 
 import math
@@ -72,6 +73,13 @@ def require_positive(*, error: type[ValueError] = ValueError, **values: float) -
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise error(f"{name} must be finite and positive, got {value}")
+
+
+def require_nonnegative(**values: float) -> None:
+    """A ValueError naming the first of ``values`` that is not finite and nonnegative."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def whole_number(name: str, value) -> int:

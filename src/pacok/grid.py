@@ -9,6 +9,13 @@ range; the Nyquist mode is retained.
 
 Arrays are stored C-ordered with x as the fastest axis, i.e. a field on an
 (Nx, Ny, Nz) grid has array shape (Nz, Ny, Nx).
+
+Every forward transform writes into one half-spectrum (complex, shaped
+``spectrum_shape``) and every inverse runs in place through
+:func:`irfftn_into`. The standalone operators (:func:`poisson_solve`,
+:func:`laplacian`, :func:`translate`, and :func:`dirichlet_energy` when no
+buffers are lent) allocate that half-spectrum and their result per call;
+the time stepper and ``total_energy`` lend buffers they already hold.
 """
 
 from __future__ import annotations
@@ -131,7 +138,8 @@ def _inv_k_squared(grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     peak RSS on the analyze benchmark workload. ``ExplicitForce`` keeps one per
     instance, so time stepping builds it once per run and a step allocates
     nothing field-sized; ``total_energy`` forms it in field memory it already
-    holds, and ``poisson_solve`` builds it on every call.
+    holds, and ``poisson_solve`` builds it on every call, beside the one
+    half-spectrum of its transform.
     """
     k2 = _k_squared(grid)
     inv = np.empty(k2.shape) if out is None else out
@@ -188,16 +196,28 @@ def irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)
 
 
+def _spectrum(f: Field, out: np.ndarray | None = None) -> np.ndarray:
+    """``rfftn`` of ``f``, written into ``out`` (complex, shaped
+    ``grid.spectrum_shape``) or else into one fresh half-spectrum.
+
+    Without ``out=`` numpy gives every axis pass its own fresh array; with it
+    all passes run in place, bitwise equal and about twice as fast at 64^3.
+    """
+    if out is None:
+        out = np.empty(f.grid.spectrum_shape, dtype=np.complex128)
+    return np.fft.rfftn(f.values, out=out)
+
+
 def poisson_solve(w: Field) -> Field:
     """Zero-mean solution of -lap(phi) = w - mean(w), periodic."""
-    spec = np.fft.rfftn(w.values)
+    spec = _spectrum(w)
     spec *= _inv_k_squared(w.grid)
     return Field(w.grid, irfftn_into(spec, np.empty(w.grid.shape)))
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: multiply coefficients by -|k|^2."""
-    spec = np.fft.rfftn(f.values)
+    spec = _spectrum(f)
     spec *= -_k_squared(f.grid)
     return Field(f.grid, irfftn_into(spec, np.empty(f.grid.shape)))
 
@@ -205,7 +225,7 @@ def laplacian(f: Field) -> Field:
 def translate(f: Field, shift) -> Field:
     """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
     require_axes("shift", shift, f.grid.dim)
-    spec = np.fft.rfftn(f.values)
+    spec = _spectrum(f)
     for k, t in zip(_wavenumbers(f.grid), shift):
         spec *= np.exp(1j * k * t)
     return Field(f.grid, irfftn_into(spec, np.empty(f.grid.shape)))
@@ -227,7 +247,7 @@ def dirichlet_energy(f: Field, spec: np.ndarray | None = None,
     With ``spec`` (complex, shaped ``grid.spectrum_shape``) and ``out`` (see
     :func:`parseval_sum`) it allocates nothing field-sized; both are overwritten.
     """
-    return parseval_sum(f.grid, np.fft.rfftn(f.values, out=spec), _k_squared(f.grid), out)
+    return parseval_sum(f.grid, _spectrum(f, spec), _k_squared(f.grid), out)
 
 
 def parseval_sum(grid: GridSpec, spec: np.ndarray, multiplier: np.ndarray,

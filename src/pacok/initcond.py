@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMassError, require_axes, require_positive
+from .errors import ZeroMassError, require_axes, require_nonnegative, require_positive
 from .grid import Field, GridSpec, integrate
 
 _PROFILE_SLOPE = 3.0
@@ -56,6 +56,9 @@ class Ball:
     center: tuple[float, ...]
     radius: float
 
+    def __post_init__(self) -> None:
+        require_positive(radius=self.radius)
+
     def distance(self, grid):
         return _radius_from_center(grid, self.center)
 
@@ -73,6 +76,9 @@ class Shell:
     center: tuple[float, ...]
     inner_radius: float
     outer_radius: float
+
+    def __post_init__(self) -> None:
+        require_positive(inner_radius=self.inner_radius, outer_radius=self.outer_radius)
 
     def distance(self, grid):
         mid = 0.5 * (self.inner_radius + self.outer_radius)
@@ -93,6 +99,11 @@ class Slab:
     normal: tuple[float, ...]
     half_thickness: float
     radius: float | None = None
+
+    def __post_init__(self) -> None:
+        require_positive(half_thickness=self.half_thickness)
+        if self.radius is not None:
+            require_positive(radius=self.radius)
 
     def distance(self, grid):
         require_axes("normal", self.normal, grid.dim)
@@ -127,8 +138,9 @@ class Torus:
     deform_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.deform_factor < 1.0:
-            raise ValueError("deform_factor must be >= 1")
+        require_positive(major_radius=self.major_radius, minor_radius=self.minor_radius)
+        if not self.deform_factor >= 1.0:  # NaN fails too
+            raise ValueError(f"deform_factor must be >= 1, got {self.deform_factor}")
 
     def distance(self, grid):
         if grid.dim != 3:
@@ -189,6 +201,10 @@ class CurveBilayer:
 
     points: tuple[tuple[float, float], ...]
     half_thickness: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.half_thickness is not None:
+            require_positive(half_thickness=self.half_thickness)
 
     def distance(self, grid):
         if grid.dim != 2:
@@ -292,8 +308,7 @@ def perforate(
     u: Field, v: Field, hole_center, hole_radius: float, epsilon: float | None = None
 ) -> tuple[Field, Field]:
     """Multiply both fields by a smoothed exterior indicator of a ball."""
-    if hole_radius < 0:
-        raise ValueError("hole radius must be nonnegative")
+    require_nonnegative(hole_radius=hole_radius)
     if hole_radius == 0.0:
         return u, v
     eps = epsilon if epsilon is not None else hole_radius / 3.0
@@ -313,5 +328,7 @@ def mass_rescale(f: Field, target_mass: float) -> Field:
 
 def add_noise(f: Field, amplitude: float = 0.01, seed: int = 0) -> Field:
     """Uniform additive noise in [-amplitude, amplitude]; caller rescales mass."""
+    require_nonnegative(amplitude=amplitude)
+    amplitude = abs(amplitude)  # uniform() refuses the range (0.0, -0.0)
     rng = np.random.default_rng(seed)
     return Field(f.grid, f.values + rng.uniform(-amplitude, amplitude, size=f.grid.shape))

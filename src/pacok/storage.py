@@ -21,7 +21,8 @@ import numpy as np
 
 from .dynamics import RunState, StepperConfig
 from .energy import EnergyBreakdown, PhysParams
-from .errors import CorruptCheckpointError, InvalidFieldError, UnsupportedVersionError
+from .errors import (CorruptCheckpointError, InvalidFieldError, UnsupportedVersionError,
+                     require_nonnegative)
 from .grid import Field, GridSpec
 from . import initcond
 
@@ -46,11 +47,19 @@ class NoisePerturbation:
     amplitude: float = 0.01
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        require_nonnegative(amplitude=self.amplitude)
+
 
 @dataclass(frozen=True)
 class HolePerturbation:
+    """A hole of ``radius`` cut at ``center``; radius 0 cuts none."""
+
     center: tuple[float, ...]
     radius: float
+
+    def __post_init__(self) -> None:
+        require_nonnegative(radius=self.radius)
 
 
 @dataclass(frozen=True)

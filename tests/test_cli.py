@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -52,6 +53,27 @@ def _overflow_repro(tmp_path):
     return path
 
 
+def _with_shape(**shape):
+    """A config edit that seeds ``shape`` (a config's ``init.shape`` mapping),
+    keeping the config's explicit layer thicknesses; a 3-D center gets an 8^3 grid."""
+    def edit(data):
+        data["init"]["shape"] = shape
+        if len(shape.get("center", ())) == 3:
+            data["grid"] = {"points": [8, 8, 8], "lengths": [2.6, 2.6, 2.6]}
+    return edit
+
+
+def _run_edited(tmp_path, edit) -> int:
+    """``pacok run`` of ``configs/run2d.json`` at 32^2 and 0 steps, after ``edit``."""
+    data = json.loads((CONFIGS / "run2d.json").read_text())
+    data["grid"]["points"] = [32, 32]
+    data["stepper"]["max_steps"] = 0  # should the edit be ignored, run briefly
+    edit(data)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    return main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+
+
 @pytest.fixture
 def run_config(tmp_path):
     cand = pk.optimize_liposome(0.4, 1.0, 1500.0, 2)
@@ -84,6 +106,50 @@ class TestUsage:
         code = main(["render", "--checkpoint", str(tmp_path / "nope.okpf"),
                      "--out", str(tmp_path / "x.png")])
         assert code == 3
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may leak into the next."""
+
+    def test_built_once_and_not_on_import(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        code = ("import pacok, pacok.cli as cli; assert cli._build_parser.cache_info().currsize == 0; "
+                "cli.main(['roots']); cli.main(['roots']); info = cli._build_parser.cache_info(); "
+                "assert (info.misses, info.hits) == (1, 1), info")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_usage_error_then_valid_command(self, capsys):
+        argv = ["radial", "--n", "3", "--zeta", "1", "--gamma", "500", "--m", "2", "--asymptotic"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(["radial", "--n", "4", "--zeta", "1"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: argument --n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_index_then_stack(self, tmp_path, capsys):
+        state = _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
+        common = ["render", "--checkpoint", str(tmp_path / "s.okpf"), "--axis", "x"]
+        assert main([*common, "--out", str(tmp_path / "one.png"), "--index", "3"]) == 0
+        assert main([*common, "--out", str(tmp_path / "p.png"), "--stack"]) == 0
+        assert len(list(tmp_path.glob("p_*.png"))) == GRIDS[1].points[0]
+        assert np.array_equal(decode_png(tmp_path / "p_003.png"), decode_png(tmp_path / "one.png"))
+        assert np.array_equal(decode_png(tmp_path / "one.png"), _plane_colors(state, 0, 3))
+        # the group still excludes after both members were used alone
+        assert main([*common, "--out", str(tmp_path / "q.png"), "--stack", "--index", "2"]) == 1
+
+    def test_defaults_return_on_the_next_call(self, capsys, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("\n".join(f"{m},{15 + 2 * m**-2}" for m in (0.4, 0.6, 0.8, 1.0, 1.2)))
+        assert main(["fit", "--points", str(path)]) == 0
+        free = capsys.readouterr().out
+        assert main(["fit", "--points", str(path), "--fix-p", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "p 1"
+        assert main(["fit", "--points", str(path)]) == 0  # --fix-p is None again
+        assert capsys.readouterr().out == free
 
 
 def _random_checkpoint(path, grid, seed=0):
@@ -376,15 +442,56 @@ class TestRunAndFriends:
             "long-hole-center", "nan-seed-center", "long-slab-normal", "zero-slab-normal",
             "inf-init-epsilon", "nan-init-epsilon", "inf-init-u_half_thickness"])
     def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
-        data = json.loads((CONFIGS / "run2d.json").read_text())
-        data["grid"]["points"] = [32, 32]
-        data["stepper"]["max_steps"] = 0  # should the edit be ignored, run briefly
-        edit(data)
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(data))
-        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert _run_edited(tmp_path, edit) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("shape,key", [
+        ({"variant": "ball", "center": [1.3, 1.3], "radius": math.inf}, "radius"),
+        ({"variant": "ball", "center": [1.3, 1.3], "radius": -0.2}, "radius"),
+        ({"variant": "shell", "center": [1.3, 1.3], "inner_radius": math.nan,
+          "outer_radius": 0.9}, "inner_radius"),
+        ({"variant": "shell", "center": [1.3, 1.3], "inner_radius": 0.7,
+          "outer_radius": math.inf}, "outer_radius"),
+        ({"variant": "slab", "center": [1.3, 1.3], "normal": [1.0, 0.0],
+          "half_thickness": math.nan, "radius": None}, "half_thickness"),
+        ({"variant": "slab", "center": [1.3, 1.3], "normal": [1.0, 0.0],
+          "half_thickness": 0.1, "radius": math.inf}, "radius"),
+        ({"variant": "slab", "center": [1.3, 1.3], "normal": [1.0, 0.0],
+          "half_thickness": 0.1, "radius": 0.0}, "radius"),
+        ({"variant": "torus", "center": [1.3, 1.3, 1.3], "major_radius": math.inf,
+          "minor_radius": 0.2}, "major_radius"),
+        ({"variant": "torus", "center": [1.3, 1.3, 1.3], "major_radius": 0.6,
+          "minor_radius": math.nan}, "minor_radius"),
+        ({"variant": "curve_bilayer", "points": [[1.0, 1.0], [1.6, 1.0], [1.3, 1.6]],
+          "half_thickness": math.inf}, "half_thickness"),
+    ], ids=["inf-ball-radius", "negative-ball-radius", "nan-shell-inner", "inf-shell-outer",
+            "nan-slab-half_thickness", "inf-slab-radius", "zero-slab-radius",
+            "inf-torus-major", "nan-torus-minor", "inf-curve-half_thickness"])
+    def test_shape_size_must_be_finite_and_positive(self, tmp_path, capsys, shape, key):
+        assert _run_edited(tmp_path, _with_shape(**shape)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite and positive")
+
+    @pytest.mark.parametrize("perturb,key", [
+        ({"kind": "noise", "amplitude": math.inf, "seed": 0}, "amplitude"),
+        ({"kind": "noise", "amplitude": math.nan, "seed": 0}, "amplitude"),
+        ({"kind": "noise", "amplitude": -1.0, "seed": 0}, "amplitude"),
+        ({"kind": "hole", "center": [1.3, 1.3], "radius": math.nan}, "radius"),
+        ({"kind": "hole", "center": [1.3, 1.3], "radius": math.inf}, "radius"),
+        ({"kind": "hole", "center": [1.3, 1.3], "radius": -0.1}, "radius"),
+    ], ids=["inf-amplitude", "nan-amplitude", "negative-amplitude", "nan-hole-radius",
+            "inf-hole-radius", "negative-hole-radius"])
+    def test_perturbation_size_must_be_finite_and_nonnegative(self, tmp_path, capsys,
+                                                              perturb, key):
+        assert _run_edited(tmp_path, lambda data: data.update(perturb=perturb)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite and nonnegative")
+
+    @pytest.mark.parametrize("factor", [math.nan, 0.5])
+    def test_torus_deform_factor_must_be_at_least_one(self, tmp_path, capsys, factor):
+        shape = {"variant": "torus", "center": [1.3, 1.3, 1.3], "major_radius": 0.6,
+                 "minor_radius": 0.2, "deform_factor": factor}
+        assert _run_edited(tmp_path, _with_shape(**shape)) == 1
+        assert capsys.readouterr().err.startswith(f"error: deform_factor must be >= 1, got {factor}")
 
     def test_restart_from_checkpoint(self, run_config, tmp_path, capsys):
         import json

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pacok as pk
-from pacok import radial
+from pacok import initcond, radial, storage
 from pacok.errors import InvalidCandidateError, OutOfRangeError
 
 
@@ -38,6 +38,13 @@ POSITIVE_RULE = [
     *_cases(pk.RadialCandidate, {"zeta": 1.0},
             {"n": 2, "radii": radial.liposome_candidate(1.0, 1.0, 2, 0.1, 0.2).radii},
             InvalidCandidateError),
+    *_cases(pk.Ball, {"radius": 0.3}, {"center": (0.5, 0.5)}),
+    *_cases(pk.Shell, {"inner_radius": 0.2, "outer_radius": 0.3}, {"center": (0.5, 0.5)}),
+    *_cases(pk.Slab, {"half_thickness": 0.1, "radius": 0.3},
+            {"center": (0.5, 0.5), "normal": (1.0, 0.0)}),
+    *_cases(pk.Torus, {"major_radius": 0.5, "minor_radius": 0.2}, {"center": (0.5, 0.5, 0.5)}),
+    *_cases(pk.CurveBilayer, {"half_thickness": 0.1},
+            {"points": ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))}),
     *_cases(pk.micelle_energy, RADIAL, {"n": 3}),
     *_cases(pk.micelle_optimal, {"zeta": 1.0, "gamma": 1.0}, {"n": 2}),
     *_cases(pk.optimize_liposome, RADIAL, {"n": 3}),
@@ -60,3 +67,35 @@ def test_positive_rule_refuses_every_value_outside_the_open_half_line(name, erro
     # a site that drifts back to `x <= 0` lets NaN and +inf through
     with pytest.raises(error, match=re.escape(f"{name} must be finite and positive")):
         call(value)
+
+
+FIELD = pk.Field.full(pk.GridSpec((8, 8), (1.0, 1.0)), 0.5)
+NONNEGATIVE_RULE = [
+    pytest.param("v_reg", lambda x: pk.PhysParams(zeta=1.0, gamma=1500.0, mass=1.0, epsilon=0.05,
+                                                  K1=3e4, K2=4800.0, v_reg=x), id="PhysParams-v_reg"),
+    pytest.param("amplitude", lambda x: storage.NoisePerturbation(amplitude=x),
+                 id="NoisePerturbation-amplitude"),
+    pytest.param("radius", lambda x: storage.HolePerturbation(center=(0.5, 0.5), radius=x),
+                 id="HolePerturbation-radius"),
+    pytest.param("amplitude", lambda x: initcond.add_noise(FIELD, x), id="add_noise-amplitude"),
+    pytest.param("hole_radius", lambda x: pk.perforate(FIELD, FIELD, (0.5, 0.5), x),
+                 id="perforate-hole_radius"),
+]
+
+
+@pytest.mark.parametrize("name,call", NONNEGATIVE_RULE)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(value=st.floats(max_value=0.0, exclude_max=True) | st.sampled_from([math.nan, math.inf]))
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=-5e-324)
+def test_nonnegative_rule_refuses_every_value_outside_the_closed_half_line(name, call, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and nonnegative")):
+        call(value)
+
+
+@pytest.mark.parametrize("name,call", NONNEGATIVE_RULE)
+def test_nonnegative_rule_accepts_zero(name, call):
+    call(0.0)
+    call(-0.0)

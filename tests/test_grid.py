@@ -1,13 +1,15 @@
 """Spectral grid operators: eigenfunction identities, Parseval, equivariance."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pacok as pk
 from pacok.errors import GridMismatchError, InvalidFieldError
-from pacok.grid import irfftn_into, require_same_grid, translate
+from pacok.grid import (_inv_k_squared, _k_squared, _wavenumbers, irfftn_into, parseval_sum,
+                        require_same_grid, translate)
 
 from conftest import band_limited
 
@@ -215,3 +217,42 @@ class TestTranslate:
         with pytest.raises(ValueError, match=re.escape(
                 f"shift must be one finite number per axis of the {grid.dim}-D grid, got {shift}")):
             translate(f, shift)
+
+
+class TestStandaloneOperators:
+    """poisson_solve, laplacian, translate and dirichlet_energy transform into
+    one half-spectrum of their own; the results are numpy's, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [pk.GridSpec((128, 128), (2.6, 2.6)),
+                                      pk.GridSpec((48, 32, 16), (2.4, 1.6, 0.8))],
+                             ids=["2d", "3d"])
+    def test_bitwise_equal_to_numpy_transforms(self, rng, grid):
+        f = pk.Field(grid, rng.normal(size=grid.shape))
+        shift = (0.137, -0.29, 0.41)[:grid.dim]
+
+        def filtered(multiply):
+            spec = multiply(np.fft.rfftn(f.values))
+            return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.dim))).tobytes()
+
+        def phase_shift(spec):
+            for k, t in zip(_wavenumbers(grid), shift):
+                spec = spec * np.exp(1j * k * t)
+            return spec
+
+        assert pk.poisson_solve(f).values.tobytes() == filtered(lambda s: s * _inv_k_squared(grid))
+        assert pk.laplacian(f).values.tobytes() == filtered(lambda s: s * -_k_squared(grid))
+        assert translate(f, shift).values.tobytes() == filtered(phase_shift)
+        assert pk.dirichlet_energy(f) == parseval_sum(grid, np.fft.rfftn(f.values), _k_squared(grid))
+
+    def test_translate_allocates_one_half_spectrum_and_its_result(self, rng):
+        grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
+        f = pk.Field(grid, rng.normal(size=grid.shape))
+        translate(f, (0.1, 0.2, 0.3))  # warm the wavenumber cache
+        tracemalloc.start()
+        try:
+            translate(f, (0.1, 0.2, 0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        half_spectrum = 16 * int(np.prod(grid.spectrum_shape))
+        assert peak <= f.values.nbytes + half_spectrum + 64 * 1024
