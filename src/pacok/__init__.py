@@ -40,7 +40,6 @@ from .radial import (
     micelle_optimal,
     morphology,
     optimize_liposome,
-    radial_potential,
     rescaled_energy,
     stationarity_residual,
     thresholds,

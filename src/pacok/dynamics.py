@@ -87,7 +87,7 @@ class RunResult:
 class _Stepper:
     """One convex-splitting update on a fixed workspace.
 
-    The workspace is allocated once per run: the force kernel's four field
+    The workspace is allocated once per run: the force kernel's three field
     buffers and its half-spectrum buffer, plus the spectral factors 1/den_u
     and 1/den_v. A step costs six FFTs: the Poisson solve inside the force
     (rfftn + inverse), then one rfftn of u - dt*L1*F_u and one of
@@ -96,7 +96,8 @@ class _Stepper:
     (the inverses through :func:`~pacok.grid.irfftn_into`), so a step
     allocates nothing field-sized: a warm 32^3 step peaks at ~0.13 MB under
     tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB
-    per field. Between steps the force's ``work`` buffers and ``spec`` are
+    per field. The stepper owns its workspace and writes only the outputs it
+    is handed; between steps the force's ``work`` buffers and ``spec`` are
     free scratch: :func:`run` takes each step's change in ``work[0]`` and
     evaluates its energies in ``work[0]``, ``work[1]`` and ``spec``.
     """
@@ -162,12 +163,24 @@ def run(
     its step is a multiple of that callback's cadence (the input state
     included, with residual NaN); the final state goes to ``on_trace`` once,
     whatever its step, and never to ``on_checkpoint``: the caller has it as
-    the result's state. Each emitted state is one snapshot that owns its
-    arrays; it carries ``last_energy`` when traced, and the final one always
-    does. The result's state holds that energy and its own copy of the
-    arrays; its residual is inf when no step was taken. DivergenceError is
-    raised when a step produces a non-finite sample or an emitted energy
-    overflows or is not finite.
+    the result's state. Each emitted state carries ``last_energy`` when
+    traced, and the final one always does.
+
+    Memory: besides the input, the loop holds about ten field-sized arrays:
+    two buffer pairs that u+ and v+ alternate between, the stepper's three
+    scratch fields, and about three fields' worth of half-spectrum and
+    multipliers (``spec``, |k|^2, 1/|k|^2, 1/den_u, 1/den_v). An emitted
+    state after the first adds two while the callbacks hold it. Before the
+    final energy the loop frees all but the last pair and the buffers lent
+    to :func:`~pacok.energy.total_energy`.
+
+    Ownership: no array an emitted state holds is written afterwards. The
+    input state's arrays are only read, so its snapshot wraps them; every
+    later snapshot owns a copy. The result's state holds the final energy
+    and the loop's last pair (a copy of the input when no step was taken),
+    sharing memory with no emitted state; its residual is inf when no step
+    was taken. DivergenceError is raised when a step produces a non-finite
+    sample or an emitted energy overflows or is not finite.
     """
     grid = state.u.grid
     stepper = _Stepper(grid, params, cfg)
@@ -181,16 +194,19 @@ def run(
     reason = "max_steps"
     done = 0
 
-    def _emit(trace: bool, checkpoint: bool, energy: bool = False) -> RunState:
-        current = RunState(Field(grid, u.copy()), Field(grid, v.copy()),
-                           state.time + done * cfg.dt, state.step + done)
-        if trace or energy:
-            current = _with_energy(current, params, energy_buffers)
+    def _snapshot(copy: bool) -> RunState:
+        uu, vv = (u.copy(), v.copy()) if copy else (u, v)
+        return RunState(Field(grid, uu), Field(grid, vv), state.time + done * cfg.dt,
+                        state.step + done)
+
+    def _emit(trace: bool, checkpoint: bool) -> None:
+        # before the first step u and v are the input's arrays, which no step writes
+        current = _snapshot(copy=done > 0)
         if trace:
+            current = _with_energy(current, params, energy_buffers)
             on_trace(current, residual)
         if checkpoint:
             on_checkpoint(current)
-        return current
 
     while done < cfg.max_steps:
         nstep = state.step + done
@@ -210,9 +226,13 @@ def run(
             reason = "stationary"
             break
 
-    final = _emit(on_trace is not None, False, energy=True)
-    # on_trace may keep ``final``; the result gets arrays of its own
-    final = replace(final, u=Field(grid, u.copy()), v=Field(grid, v.copy()))
+    # the final energy needs only the state and the buffers lent to it: free
+    # the other pair, the force's third scratch field and the multipliers
+    del stepper, pairs
+    # the result keeps the last pair; with no step taken, a copy of the input
+    final = _with_energy(_snapshot(copy=done == 0), params, energy_buffers)
+    if on_trace is not None:
+        on_trace(replace(_snapshot(copy=True), last_energy=final.last_energy), residual)
     return RunResult(state=final, reason=reason, residual=float(residual) if done else np.inf)
 
 

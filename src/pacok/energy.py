@@ -255,9 +255,13 @@ class ExplicitForce:
     share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
     and W_v = 27*(overlap + v - clip(v, 0, 1)). A call costs two FFTs (the
     Poisson solve, inverted in place by :func:`~pacok.grid.irfftn_into`) and
-    writes through ``out=`` into four field buffers and one half-spectrum
-    allocated here once, so it allocates nothing field-sized; between calls
-    the caller may use ``work`` and ``spec`` as scratch.
+    writes through ``out=`` into the outputs and into a workspace allocated
+    here once: three field buffers ``work`` = (s_u, s_v, phi) and one
+    half-spectrum ``spec``. The cubic f(u) and f(v) are formed in the
+    outputs, the charge density, phi and then the overlap share one buffer,
+    and s_v is scratch once its last product is taken; so a call allocates
+    nothing field-sized. The instance owns the workspace; between calls the caller
+    may use ``work`` and ``spec`` as scratch.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams):
@@ -265,19 +269,20 @@ class ExplicitForce:
         self.params = params
         self.cubic = params.interpolant == "cubic"
         self.inv_k2 = _inv_k_squared(grid)
-        self.work = tuple(np.empty(grid.shape) for _ in range(4))
+        self.work = tuple(np.empty(grid.shape) for _ in range(3))
         self.spec = np.empty(grid.spectrum_shape, dtype=np.complex128)
 
     def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
         """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only."""
         p, grid = self.params, self.grid
         eps, zeta = p.epsilon, p.zeta
-        s_u, s_v, fu, fv = self.work
+        s_u, s_v, phi = self.work
         np.multiply(u, u, out=s_u)
         np.subtract(u, s_u, out=s_u)
         if self.cubic:
             np.multiply(v, v, out=s_v)
             np.subtract(v, s_v, out=s_v)
+            fu, fv = out_u, out_v
             for z, s, f in ((u, s_u, fu), (v, s_v, fv)):
                 np.multiply(s, 2.0, out=f)
                 f += z
@@ -289,11 +294,10 @@ class ExplicitForce:
         mass_u = integrate_array(grid, fu)
         mass_v = integrate_array(grid, fv)
 
-        # phi from the charge density f(u) - f(v)/zeta, into the last buffer
-        phi, charge = self.work[3], self.work[2]
+        # phi from the charge density f(u) - f(v)/zeta, formed in phi's memory
         np.divide(fv, zeta, out=phi)
-        np.subtract(fu, phi, out=charge)
-        np.fft.rfftn(charge, out=self.spec)
+        np.subtract(fu, phi, out=phi)
+        np.fft.rfftn(phi, out=self.spec)
         self.spec *= self.inv_k2
         irfftn_into(self.spec, phi)
 
@@ -306,14 +310,14 @@ class ExplicitForce:
             out_u *= s_u
             out_v *= s_v
 
-        # well: overlap = max(u + v - 1, 0) into phi
-        tmp = charge
-        np.add(u, v, out=phi)
-        phi -= 1.0
-        np.maximum(phi, 0.0, out=phi)
+        # well: overlap = max(u + v - 1, 0) into phi; s_v is scratch from here on
+        overlap, tmp = phi, s_v
+        np.add(u, v, out=overlap)
+        overlap -= 1.0
+        np.maximum(overlap, 0.0, out=overlap)
         # (W_v - a_vv v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - a_vv) v)/eps
         np.clip(v, 0.0, 1.0, out=tmp)
-        np.subtract(phi, tmp, out=tmp)
+        np.subtract(overlap, tmp, out=tmp)
         tmp *= 27.0 / eps
         out_v += tmp
         np.multiply(v, (27.0 - SPLIT.a_vv) / eps, out=tmp)
@@ -324,8 +328,8 @@ class ExplicitForce:
         tmp *= s_u
         tmp *= 36.0 / eps
         out_u += tmp
-        phi *= 27.0 / eps
-        out_u += phi
+        overlap *= 27.0 / eps
+        out_u += overlap
         np.multiply(u, SPLIT.a_uu / eps, out=tmp)
         out_u -= tmp
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,8 +65,10 @@ class GridSpec:
     def spacing(self) -> tuple[float, ...]:
         return tuple(length / n for length, n in zip(self.lengths, self.points))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
+        """Product of the spacings, computed on first use and kept: the force
+        reads it twice per step."""
         return float(np.prod(self.spacing))
 
     @property

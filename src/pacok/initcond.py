@@ -79,6 +79,9 @@ class Shell:
 
     def __post_init__(self) -> None:
         require_positive(inner_radius=self.inner_radius, outer_radius=self.outer_radius)
+        if not self.inner_radius < self.outer_radius:
+            raise ValueError(f"inner_radius must be below outer_radius, got inner_radius "
+                             f"{self.inner_radius} and outer_radius {self.outer_radius}")
 
     def distance(self, grid):
         mid = 0.5 * (self.inner_radius + self.outer_radius)

@@ -7,12 +7,13 @@ constraints
     R3^n - R0^n = (zeta+1) (R2^n - R1^n),
     R2^n - R1^n = m/pi (n=2)  or  3m/(4pi) (n=3).
 
-This module evaluates the energy of such candidates, their electrostatic
-potential, stationarity residuals, constrained minimizers, large-mass
-asymptotic series, the rescaled thin-shell functional, the morphology
-coefficient c(zeta) with its transition thresholds, the bending and Gaussian
-moduli of the limiting curvature energy, and the layer-thickness expansions
-of the 1-Wasserstein sibling model.
+This module evaluates the energy of such candidates, the drops of their
+electrostatic potential across the layers, stationarity residuals,
+constrained minimizers, large-mass asymptotic series, the rescaled
+thin-shell functional, the morphology coefficient c(zeta) with its
+transition thresholds, the bending and Gaussian moduli of the limiting
+curvature energy, and the layer-thickness expansions of the 1-Wasserstein
+sibling model.
 
 Everything here is closed-form, one-dimensional quadrature or a
 low-dimensional solve; it serves as the independent oracle for the grid
@@ -21,14 +22,15 @@ simulator.
 Numerical notes: the radial field has one definition, the enclosed charge
 q(r) walked layer by layer (:func:`_layers`). The Coulomb energy
 N = (c_n/2) int q^2/r^(n-1) dr is a 48-point Gauss-Legendre quadrature per
-layer on offsets from the layer start; phi(r), and the potential drops that
-the stationarity conditions read, are the layer integrals of q/r^(n-1) in
-forms that do not cancel as r -> a. Against a 50-digit quadrature, at every
-point the optimizer solves in n in {2, 3}, zeta in {0.5, 1, 2},
-gamma in {1, 1500}, m in {1, 7, 1e2, 1e3, 1e4, 1e6}, :func:`liposome_energy`
-is within 2.4e-15 relative and :func:`radial_potential` within 1.8e-15 of
-max |phi| (at zeta = 1, gamma = 1500, m = 1e4 in 2-D, E/m is 15.0000000003,
-the asymptotic value). The stationarity conditions (phi(R0), B) have one
+layer on offsets from the layer start; the potential drops that the
+stationarity conditions read (:func:`potential_drops`) are the layer
+integrals of q/r^(n-1) in forms that do not cancel as r -> a. Against a
+50-digit quadrature, at every point the optimizer solves in n in {2, 3},
+zeta in {0.5, 1, 2}, gamma in {1, 1500}, m in {1, 7, 1e2, 1e3, 1e4, 1e6},
+:func:`liposome_energy` is within 2.4e-15 relative, and phi(r) built from
+these drops (the test suite's oracle) within 1.8e-15 of max |phi| (at
+zeta = 1, gamma = 1500, m = 1e4 in 2-D, E/m is 15.0000000003, the
+asymptotic value). The stationarity conditions (phi(R0), B) have one
 definition, :func:`_stationarity`, which the free solve, the equal-mass
 search and :func:`stationarity_residual` all read. The free solve is
 MINPACK's hybrid method in (log R0, log(R1 - R0)); it converges at
@@ -292,34 +294,11 @@ def micelle_optimal(zeta: float, gamma: float, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def radial_potential(c: RadialCandidate, r):
-    """Potential phi(r) of the candidate, phi(infinity) = 0; vectorized in r.
-
-    Inside the layer [a, b], phi(r) = phi(a) - q_a J(a, r) - s I(a, r) with
-    the enclosed charge q_a and density s of :func:`_layers`, the integrals
-    J and I of :func:`_drop` and phi(a) from :func:`potential_drops`; phi is
-    constant inside R0 and zero outside R3.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    phi0, phi1, phi2 = potential_drops(c.radii, c.zeta, c.n)
-    drop = np.vectorize(_drop, otypes=[np.float64])
-    out = np.where(r <= c.radii[0], phi0, 0.0)
-    for (a, b, s, q_a), phi_a in zip(_layers(c.radii, c.zeta, c.n), (phi0, phi1, phi2)):
-        inside = (a < r) & (r <= b)
-        out[inside] = phi_a - drop(a, r[inside], s, q_a, c.n)
-    return float(out[0]) if scalar else out
-
-
 def potential_drops(radii, zeta: float, n: int) -> tuple[float, float, float]:
     """(phi(R0), phi(R1), phi(R2)), summed inward from phi(R3) = 0.
 
     Each layer adds its drop phi(a) - phi(b) = q_a J(a, b) + s I(a, b); the
-    optimizer's stationarity residuals and :func:`radial_potential` read
-    these values.
+    optimizer's stationarity residuals read these values.
     """
     phi = 0.0
     drops = []

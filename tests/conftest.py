@@ -1,6 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import struct
+import tracemalloc
 import zlib
 
 import mpmath as mp
@@ -49,6 +50,17 @@ def interpolant_calls(monkeypatch):
     return calls
 
 
+def peak_bytes(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs; tracing stops
+    whether or not ``fn`` raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def potential_W_grad(u, v):
     """(dW/du, dW/dv), one-sided quadratics differentiated piecewise: the
     unfused oracle for the well part of ``ExplicitForce``."""
@@ -73,6 +85,28 @@ def band_limited(grid: pk.GridSpec, rng, max_mode: int = 6, zero_mean: bool = Tr
     return pk.Field(grid, values)
 
 
+def radial_potential(c: radial.RadialCandidate, r):
+    """Potential phi(r) of the candidate, phi(infinity) = 0; vectorized in r.
+
+    Inside the layer [a, b], phi(r) = phi(a) - q_a J(a, r) - s I(a, r) with
+    the enclosed charge q_a and density s of ``radial._layers``, the integrals
+    J and I of ``radial._drop`` and phi(a) from ``radial.potential_drops``;
+    phi is constant inside R0 and zero outside R3.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
+    if np.any(r < 0):
+        raise ValueError("radius must be nonnegative")
+    phi0, phi1, phi2 = radial.potential_drops(c.radii, c.zeta, c.n)
+    drop = np.vectorize(radial._drop, otypes=[np.float64])
+    out = np.where(r <= c.radii[0], phi0, 0.0)
+    for (a, b, s, q_a), phi_a in zip(radial._layers(c.radii, c.zeta, c.n), (phi0, phi1, phi2)):
+        inside = (a < r) & (r <= b)
+        out[inside] = phi_a - drop(a, r[inside], s, q_a, c.n)
+    return float(out[0]) if scalar else out
+
+
 def quadrature_nonlocal(candidate: radial.RadialCandidate, nodes: int = 240) -> float:
     """Independent oracle for the Coulombic term: N = (1/2) int phi rho dV,
     with phi from the piecewise potential and fixed Gauss-Legendre panels."""
@@ -87,7 +121,7 @@ def quadrature_nonlocal(candidate: radial.RadialCandidate, nodes: int = 240) -> 
             continue
         r = 0.5 * (b - a) * x + 0.5 * (a + b)
         weights = 0.5 * (b - a) * w
-        phi = radial.radial_potential(candidate, r)
+        phi = radial_potential(candidate, r)
         surface = 2.0 * np.pi * r if n == 2 else 4.0 * np.pi * r * r
         total += float(np.sum(weights * phi * density * surface))
     return 0.5 * total

@@ -493,6 +493,20 @@ class TestRunAndFriends:
         assert _run_edited(tmp_path, _with_shape(**shape)) == 1
         assert capsys.readouterr().err.startswith(f"error: deform_factor must be >= 1, got {factor}")
 
+    @pytest.mark.parametrize("u_half_thickness", [None, 0.1], ids=["derived", "explicit"])
+    @pytest.mark.parametrize("inner,outer", [(0.9, 0.7), (0.8, 0.8)], ids=["swapped", "equal"])
+    def test_shell_inner_radius_must_be_below_outer(self, tmp_path, capsys, inner, outer,
+                                                    u_half_thickness):
+        def edit(data):
+            data["init"]["shape"] = {"variant": "shell", "center": [1.3, 1.3],
+                                     "inner_radius": inner, "outer_radius": outer}
+            data["init"]["u_half_thickness"] = u_half_thickness
+
+        assert _run_edited(tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: inner_radius must be below outer_radius")
+        assert f"inner_radius {inner}" in err and f"outer_radius {outer}" in err
+
     def test_restart_from_checkpoint(self, run_config, tmp_path, capsys):
         import json
         path, cfg = run_config

@@ -1,6 +1,5 @@
 """Convex splitting, step/run control, stability, screening diagnostics."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from pacok.energy import interpolant_pair
 from pacok.errors import DivergenceError
 from pacok.grid import _k_squared, integrate_array
 
-from conftest import potential_W_grad
+from conftest import peak_bytes, potential_W_grad
 
 GRID = pk.GridSpec((32, 32), (1.8, 1.8))
 PARAMS = pk.PhysParams(zeta=1.0, gamma=1500.0, mass=0.4, epsilon=0.05, K1=3e4, K2=4800.0)
@@ -239,12 +238,7 @@ class TestWorkspaceStepper:
         stepper = _Stepper(grid, params, CFG)
         out = (np.empty(grid.shape), np.empty(grid.shape))
         stepper.advance(state.u.values, state.v.values, *out)  # warm
-        tracemalloc.start()
-        try:
-            stepper.advance(state.u.values, state.v.values, *out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: stepper.advance(state.u.values, state.v.values, *out))
         assert peak < state.u.values.nbytes  # one field: 262 144 B
 
     def test_warm_energy_allocates_less_than_one_field(self):
@@ -253,12 +247,7 @@ class TestWorkspaceStepper:
         force = _Stepper(grid, params, CFG).force
         buffers = (*force.work[:2], force.spec)
         dynamics.total_energy(state.u, state.v, params, buffers)  # warm
-        tracemalloc.start()
-        try:
-            dynamics.total_energy(state.u, state.v, params, buffers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: dynamics.total_energy(state.u, state.v, params, buffers))
         assert peak < state.u.values.nbytes  # one field: 262 144 B
 
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
@@ -306,6 +295,27 @@ class TestWorkspaceStepper:
         assert not np.shares_memory(traced[-1][0].u.values, result.state.u.values)
         assert np.array_equal(state.u.values, before[0])
         assert np.array_equal(state.v.values, before[1])
+        for first, _, _ in (traced[0], checked[0]):
+            assert first.step == 0
+            assert np.array_equal(first.u.values, before[0])
+            assert np.array_equal(first.v.values, before[1])
+        for current, _, _ in traced + checked:
+            for emitted in (current.u.values, current.v.values):
+                assert not np.shares_memory(emitted, result.state.u.values)
+                assert not np.shares_memory(emitted, result.state.v.values)
+
+    @pytest.mark.parametrize("trace_every,bound", [(None, 11.0), (2, 12.5)],
+                             ids=["final-only", "every-2"])
+    def test_run_peak_memory_in_fields(self, trace_every, bound):
+        # the loop holds ~10 fields (two buffer pairs, three force scratch
+        # fields, spectrum and multipliers); a traced state adds its own two
+        grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
+        state, params = _noisy_shell(grid, "cubic")
+        cfg = replace(CFG, max_steps=6, stop_tol=np.inf, trace_every=trace_every or 1)
+        callbacks = {} if trace_every is None else {"on_trace": lambda s, r: None}
+        pk.run(state, params, cfg, **callbacks)  # warm the wavenumber caches
+        peak = peak_bytes(lambda: pk.run(state, params, cfg, **callbacks))
+        assert peak / state.u.values.nbytes < bound
 
     @pytest.mark.parametrize("phase", [0, 1])
     def test_nan_raises_at_its_step(self, monkeypatch, phase):

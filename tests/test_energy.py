@@ -1,7 +1,5 @@
 """Diffuse energy: well, interpolant, the breakdown of E, variational derivatives."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ import pacok as pk
 from pacok.energy import _well_integral, charge_density, interpolant_pair
 from pacok.errors import GridMismatchError
 
-from conftest import potential_W_grad
+from conftest import peak_bytes, potential_W_grad
 
 GRID = pk.GridSpec((32, 32), (1.3, 1.3))
 PARAMS = pk.PhysParams(zeta=0.8, gamma=120.0, mass=0.3, epsilon=0.08, K1=200.0, K2=150.0)
@@ -335,12 +333,7 @@ class TestEnergyKernel:
         grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
         u, v = _random_pair(rng, grid)
         pk.total_energy(u, v, PARAMS)  # warm the wavenumber caches
-        tracemalloc.start()
-        try:
-            pk.total_energy(u, v, PARAMS)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: pk.total_energy(u, v, PARAMS))
         half_spectrum = 16 * int(np.prod(grid.spectrum_shape))
         assert peak <= 2 * u.values.nbytes + half_spectrum + 64 * 1024
 

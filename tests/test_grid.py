@@ -1,7 +1,6 @@
 """Spectral grid operators: eigenfunction identities, Parseval, equivariance."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from pacok.errors import GridMismatchError, InvalidFieldError
 from pacok.grid import (_inv_k_squared, _k_squared, _wavenumbers, irfftn_into, parseval_sum,
                         require_same_grid, translate)
 
-from conftest import band_limited
+from conftest import band_limited, peak_bytes
 
 UNIT = pk.GridSpec((64, 64), (1.0, 1.0))
 
@@ -46,6 +45,12 @@ class TestGridSpec:
         for length in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 pk.GridSpec((8, 8), (length, 1.0))
+
+    def test_cell_volume_is_computed_once_with_the_same_bits(self):
+        grid = pk.GridSpec((48, 32, 16), (2.8, 1.3, 0.7))
+        assert grid.cell_volume is grid.cell_volume
+        assert grid.cell_volume == float(np.prod(grid.spacing))
+        assert pk.GridSpec(grid.points, grid.lengths) == grid  # the cache is no field
 
     def test_size_is_exact(self):
         # the product 2**64 wraps to 0 in int64 arithmetic
@@ -248,11 +253,6 @@ class TestStandaloneOperators:
         grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
         f = pk.Field(grid, rng.normal(size=grid.shape))
         translate(f, (0.1, 0.2, 0.3))  # warm the wavenumber cache
-        tracemalloc.start()
-        try:
-            translate(f, (0.1, 0.2, 0.3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: translate(f, (0.1, 0.2, 0.3)))
         half_spectrum = 16 * int(np.prod(grid.spectrum_shape))
         assert peak <= f.values.nbytes + half_spectrum + 64 * 1024

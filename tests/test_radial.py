@@ -17,7 +17,7 @@ import pacok as pk
 from pacok import radial
 from pacok.errors import InvalidCandidateError, OptimizationError, OutOfRangeError
 
-from conftest import mp_nonlocal, mp_potential, quadrature_nonlocal
+from conftest import mp_nonlocal, mp_potential, quadrature_nonlocal, radial_potential
 
 
 class TestRadialCandidate:
@@ -133,16 +133,16 @@ class TestClosedForms:
 class TestRadialPotential:
     def test_vanishes_outside(self):
         c = radial.liposome_candidate(2.0, 0.7, 2, 0.7, 0.9)
-        assert pk.radial_potential(c, c.radii[3] * 1.0001) == 0.0
-        assert np.all(pk.radial_potential(c, np.array([2.0, 5.0, 100.0])) == 0.0)
+        assert radial_potential(c, c.radii[3] * 1.0001) == 0.0
+        assert np.all(radial_potential(c, np.array([2.0, 5.0, 100.0])) == 0.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_continuity_at_radii(self, n):
         c = radial.liposome_candidate(3.0, 1.2, n, 0.6, 0.8)
-        scale = max(abs(pk.radial_potential(c, r)) for r in c.radii[:3])
+        scale = max(abs(radial_potential(c, r)) for r in c.radii[:3])
         for r in c.radii:
-            left = pk.radial_potential(c, r * (1 - 1e-9))
-            right = pk.radial_potential(c, r * (1 + 1e-9))
+            left = radial_potential(c, r * (1 - 1e-9))
+            right = radial_potential(c, r * (1 + 1e-9))
             assert abs(left - right) < 1e-7 * scale
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -158,7 +158,7 @@ class TestRadialPotential:
         r = np.concatenate([[0.5 * r0], *(rng.uniform(a, b, 4) for a, b in zip(c.radii, c.radii[1:]))])
         exact = np.array([float(mp_potential(c, x)) for x in r])
         scale = np.max(np.abs(exact))
-        assert np.max(np.abs(pk.radial_potential(c, r) - exact)) <= 1e-13 * scale
+        assert np.max(np.abs(radial_potential(c, r) - exact)) <= 1e-13 * scale
         drops = radial.potential_drops(c.radii, c.zeta, n)
         exact_drops = [float(mp_potential(c, x)) for x in (r0, r1, r2)]
         assert np.max(np.abs(np.subtract(drops, exact_drops))) <= 1e-13 * scale
