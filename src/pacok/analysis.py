@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, NoCrossingError
-from .grid import Field
+from .grid import Field, angular_wavenumbers, integrate_array
 
 # exponent window of the energy-to-mass fit; covers the orders 1/2, 1, 2
 # arising from rim penalties, liposome curvature and 2-D curvature
@@ -101,7 +101,7 @@ def _moment_coefficients(marginal: np.ndarray, spacing: float) -> tuple[np.ndarr
     n = marginal.size
     length = n * spacing
     spectrum = np.fft.rfft(marginal)
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
+    k = angular_wavenumbers(n, spacing, half=True)
     weights = np.full(k.size, 2.0)
     weights[0] = 0.0
     weights[-1] = 0.0  # Nyquist: odd moment vanishes
@@ -133,8 +133,8 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[float, ...]:
     from scipy.optimize import brentq
 
     grid = w.grid
-    total = abs(float(w.values.sum())) * grid.cell_volume
-    scale = float(np.abs(w.values).sum()) * grid.cell_volume
+    total = abs(integrate_array(grid, w.values))
+    scale = integrate_array(grid, np.abs(w.values))
     if scale == 0.0:
         return (0.0,) * grid.dim
     if total > tol * scale:

@@ -35,7 +35,7 @@ from .energy import (
     total_energy,
 )
 from .errors import DivergenceError, require_positive, whole_number
-from .grid import Field, _k_squared, irfftn_into, poisson_solve, require_same_grid
+from .grid import Field, _k_squared, apply_multiplier, poisson_solve, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,18 @@ class _Stepper:
     """One convex-splitting update on a fixed workspace.
 
     The workspace is allocated once per run: the force kernel's three field
-    buffers and its half-spectrum buffer, plus the spectral factors 1/den_u
-    and 1/den_v. A step costs six FFTs: the Poisson solve inside the force
-    (rfftn + inverse), then one rfftn of u - dt*L1*F_u and one of
-    v - dt*L2*F_v, each multiplied in place by its 1/den and brought back by
-    one inverse. Every transform writes into a workspace or output buffer
-    (the inverses through :func:`~pacok.grid.irfftn_into`), so a step
-    allocates nothing field-sized: a warm 32^3 step peaks at ~0.13 MB under
-    tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB
-    per field. The stepper owns its workspace and writes only the outputs it
-    is handed; between steps the force's ``work`` buffers and ``spec`` are
-    free scratch: :func:`run` takes each step's change in ``work[0]`` and
-    evaluates its energies in ``work[0]``, ``work[1]`` and ``spec``.
+    buffers and its half-spectrum buffer, plus the Fourier multipliers
+    1/den_u and 1/den_v. A step costs six FFTs: two in the force's Poisson
+    solve, then two for each implicit solve, which applies 1/den to
+    u - dt*L1*F_u (or 1/den_v to v - dt*L2*F_v) in the output's memory by
+    :func:`~pacok.grid.apply_multiplier`. Every transform and inverse writes
+    into the force's ``spec`` or a field buffer, so a step allocates nothing
+    field-sized: a warm 32^3 step peaks at ~0.13 MB under tracemalloc,
+    numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB per field.
+    The stepper owns its workspace and writes only the outputs it is handed;
+    between steps the force's ``work`` buffers and ``spec`` are free scratch:
+    :func:`run` takes each step's change in ``work[0]`` and evaluates its
+    energies in ``work[0]``, ``work[1]`` and ``spec``.
     """
 
     def __init__(self, grid, params: PhysParams, cfg: StepperConfig):
@@ -123,9 +123,7 @@ class _Stepper:
                                      (v, out_v, self.lam_v, self.inv_den_v)):
             out *= -lam
             out += z
-            np.fft.rfftn(out, out=spec)
-            spec *= inv_den
-            irfftn_into(spec, out)
+            apply_multiplier(self.grid, out, inv_den, spec=spec, out=out)
         return out_u, out_v
 
 

@@ -32,12 +32,13 @@ from .grid import (
     Field,
     GridSpec,
     _inv_k_squared,
-    dirichlet_energy,
+    _k_squared,
+    apply_multiplier,
     integrate_array,
-    irfftn_into,
     laplacian,
-    parseval_sum,
+    quadratic_form,
     require_same_grid,
+    spectrum_buffer,
 )
 
 #: ratio of the default v-regularization coefficient to eps/2
@@ -206,29 +207,23 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> Energy
     them, and nothing else field-sized.
 
     f(u) and f(v) go into a and b and give the masses; the charge density
-    w = f(u) - f(v)/zeta replaces f(u), and N = (1/2)*sum |w_hat|^2/|k|^2 by
-    Parseval. The Dirichlet integrals of u and v are Parseval sums of their
-    spectra, and int W is three dot products (:func:`_well_integral`). All
-    three transforms go into ``spec``; each Parseval sum forms |spec|^2, and
-    N's sum 1/|k|^2, in a's and b's memory.
+    w = f(u) - f(v)/zeta replaces f(u), and N = (1/2)*int w*(-lap)^(-1) w,
+    with the multiplier 1/|k|^2 formed in b. N and the Dirichlet integrals of
+    u and v are the grid's quadratic forms, each transforming into ``spec``
+    and squaring in a; int W is three dot products (:func:`_well_integral`).
     """
     grid = require_same_grid(u, v)
     if buffers is None:
-        buffers = (np.empty(grid.shape), np.empty(grid.shape),
-                   np.empty(grid.spectrum_shape, dtype=np.complex128))
+        buffers = (np.empty(grid.shape), np.empty(grid.shape), spectrum_buffer(grid))
     a, b, spec = buffers
     uu, vv = u.values, v.values
     f, _ = interpolant_pair(params)
     masses = integrate_array(grid, f(uu, out=a)), integrate_array(grid, f(vv, out=b))
     b /= params.zeta
     a -= b
-    np.fft.rfftn(a, out=spec)
-    # half-spectrum-shaped views of the field buffers, for the Parseval sums
-    half = math.prod(grid.spectrum_shape)
-    square, inv_k2 = (z.reshape(-1)[:half].reshape(grid.spectrum_shape) for z in (a, b))
-    nonlocal_ = 0.5 * parseval_sum(grid, spec, _inv_k_squared(grid, out=inv_k2), square)
-    grad_u = dirichlet_energy(u, spec, square)
-    grad_v = dirichlet_energy(v, spec, square)
+    nonlocal_ = 0.5 * quadratic_form(grid, a, _inv_k_squared(grid, b), spec, a)
+    grad_u = quadratic_form(grid, uu, _k_squared(grid), spec, a)
+    grad_v = quadratic_form(grid, vv, _k_squared(grid), spec, a)
     eps = params.epsilon
     perimeter = 0.5 * eps * grad_u + _well_integral(grid, uu, vv, a, b) / eps
     constraint = 0.5 * params.K1 * (params.mass - masses[0]) ** 2 + 0.5 * params.K2 * (
@@ -253,11 +248,12 @@ class ExplicitForce:
 
     The pointwise work is fused. For the cubic f, the terms f, f' and W_u
     share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
-    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call costs two FFTs (the
-    Poisson solve, inverted in place by :func:`~pacok.grid.irfftn_into`) and
-    writes through ``out=`` into the outputs and into a workspace allocated
-    here once: three field buffers ``work`` = (s_u, s_v, phi) and one
-    half-spectrum ``spec``. The cubic f(u) and f(v) are formed in the
+    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call costs two FFTs, the
+    Poisson solve: :func:`~pacok.grid.apply_multiplier` applies 1/|k|^2,
+    which the instance keeps, in phi's memory. It writes through ``out=``
+    into the outputs and into a workspace allocated here once: three field
+    buffers ``work`` = (s_u, s_v, phi) and one half-spectrum ``spec``. The
+    cubic f(u) and f(v) are formed in the
     outputs, the charge density, phi and then the overlap share one buffer,
     and s_v is scratch once its last product is taken; so a call allocates
     nothing field-sized. The instance owns the workspace; between calls the caller
@@ -270,7 +266,7 @@ class ExplicitForce:
         self.cubic = params.interpolant == "cubic"
         self.inv_k2 = _inv_k_squared(grid)
         self.work = tuple(np.empty(grid.shape) for _ in range(3))
-        self.spec = np.empty(grid.spectrum_shape, dtype=np.complex128)
+        self.spec = spectrum_buffer(grid)
 
     def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
         """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only."""
@@ -297,9 +293,7 @@ class ExplicitForce:
         # phi from the charge density f(u) - f(v)/zeta, formed in phi's memory
         np.divide(fv, zeta, out=phi)
         np.subtract(fu, phi, out=phi)
-        np.fft.rfftn(phi, out=self.spec)
-        self.spec *= self.inv_k2
-        irfftn_into(self.spec, phi)
+        apply_multiplier(grid, phi, self.inv_k2, spec=self.spec, out=phi)
 
         # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
         np.multiply(phi, slope * p.gamma, out=out_u)

@@ -10,12 +10,14 @@ range; the Nyquist mode is retained.
 Arrays are stored C-ordered with x as the fastest axis, i.e. a field on an
 (Nx, Ny, Nz) grid has array shape (Nz, Ny, Nx).
 
-Every forward transform writes into one half-spectrum (complex, shaped
-``spectrum_shape``) and every inverse runs in place through
-:func:`irfftn_into`. The standalone operators (:func:`poisson_solve`,
-:func:`laplacian`, :func:`translate`, and :func:`dirichlet_energy` when no
-buffers are lent) allocate that half-spectrum and their result per call;
-the time stepper and ``total_energy`` lend buffers they already hold.
+The Fourier basis is defined here alone; other modules see only multipliers
+on the half-spectrum (complex, shaped ``spectrum_shape``). The one forward
+transform, multiply and in-place inverse is :func:`apply_multiplier`, and
+the one Parseval sum :func:`quadratic_form`. The time stepper and
+``total_energy`` lend both their buffers, so they allocate nothing
+field-sized; the standalone operators (:func:`poisson_solve`,
+:func:`laplacian`, :func:`translate` and :func:`dirichlet_energy`) allocate
+a half-spectrum and their result per call.
 """
 
 from __future__ import annotations
@@ -102,6 +104,12 @@ class GridSpec:
         return out
 
 
+def angular_wavenumbers(n: int, spacing: float, half: bool) -> np.ndarray:
+    """k = 2*pi*m/(n*spacing) of n samples, on the ``rfft`` layout when ``half``
+    (m = 0..n/2), else on the ``fft`` layout."""
+    return 2.0 * np.pi * (np.fft.rfftfreq if half else np.fft.fftfreq)(n, d=spacing)
+
+
 @lru_cache(maxsize=64)
 def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Angular wavenumbers per axis (x first) on the rfftn layout.
@@ -111,11 +119,7 @@ def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     dim = grid.dim
     out = []
     for axis in range(dim):
-        n, h = grid.points[axis], grid.spacing[axis]
-        if axis == 0:
-            k = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+        k = angular_wavenumbers(grid.points[axis], grid.spacing[axis], half=axis == 0)
         shape = [1] * dim
         shape[dim - 1 - axis] = k.size
         k = k.reshape(shape)
@@ -132,19 +136,30 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
     return k2
 
 
-def _inv_k_squared(grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """1/|k|^2 on the rfftn layout, with the zero mode pinned to 0; written
-    into ``out`` (shaped ``grid.spectrum_shape``) when given.
+def _half_view(grid: GridSpec, buffer: np.ndarray) -> np.ndarray:
+    """A float64 array shaped ``grid.spectrum_shape`` in the memory of the
+    C-contiguous field buffer ``buffer``, which holds at least as many."""
+    return buffer.reshape(-1)[:math.prod(grid.spectrum_shape)].reshape(grid.spectrum_shape)
+
+
+def spectrum_buffer(grid: GridSpec) -> np.ndarray:
+    """An uninitialised half-spectrum: complex, shaped ``grid.spectrum_shape``."""
+    return np.empty(grid.spectrum_shape, dtype=np.complex128)
+
+
+def _inv_k_squared(grid: GridSpec, scratch: np.ndarray | None = None) -> np.ndarray:
+    """1/|k|^2 on the rfftn layout, with the zero mode pinned to 0; formed in
+    the memory of ``scratch`` (a C-contiguous float64 field buffer) when given.
 
     Not cached: it is as large as |k|^2, and a cached copy measured 1-3 MB more
     peak RSS on the analyze benchmark workload. ``ExplicitForce`` keeps one per
     instance, so time stepping builds it once per run and a step allocates
-    nothing field-sized; ``total_energy`` forms it in field memory it already
-    holds, and ``poisson_solve`` builds it on every call, beside the one
-    half-spectrum of its transform.
+    nothing field-sized; ``total_energy`` forms it in a field buffer it
+    already holds, and ``poisson_solve`` builds it on every call, beside the
+    one half-spectrum of its transform.
     """
     k2 = _k_squared(grid)
-    inv = np.empty(k2.shape) if out is None else out
+    inv = np.empty(k2.shape) if scratch is None else _half_view(grid, scratch)
     with np.errstate(divide="ignore"):
         np.divide(1.0, k2, out=inv)
     inv[(0,) * grid.dim] = 0.0  # the zero mode, the only one with |k| = 0
@@ -198,72 +213,71 @@ def irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)
 
 
-def _spectrum(f: Field, out: np.ndarray | None = None) -> np.ndarray:
-    """``rfftn`` of ``f``, written into ``out`` (complex, shaped
-    ``grid.spectrum_shape``) or else into one fresh half-spectrum.
+def apply_multiplier(grid: GridSpec, values: np.ndarray, *factors: np.ndarray,
+                     spec: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse transform of M times the transform of ``values``, written into
+    ``out`` and returned; M is the product of ``factors``, arrays that
+    broadcast against ``grid.spectrum_shape``, applied in turn.
 
-    Without ``out=`` numpy gives every axis pass its own fresh array; with it
-    all passes run in place, bitwise equal and about twice as fast at 64^3.
+    The transform goes into ``spec`` (see :func:`spectrum_buffer`) and is
+    inverted in place by :func:`irfftn_into`. ``out`` (a float64 field buffer)
+    may be ``values`` itself. With both lent the call allocates nothing
+    field-sized; without, one fresh half-spectrum and one fresh result.
+    Forward passes with ``out=`` run in place, bitwise equal to numpy's
+    allocating ones and about twice as fast at 64^3.
     """
-    if out is None:
-        out = np.empty(f.grid.spectrum_shape, dtype=np.complex128)
-    return np.fft.rfftn(f.values, out=out)
+    spec = np.fft.rfftn(values, out=spectrum_buffer(grid) if spec is None else spec)
+    for factor in factors:
+        spec *= factor
+    return irfftn_into(spec, np.empty(grid.shape) if out is None else out)
 
 
 def poisson_solve(w: Field) -> Field:
     """Zero-mean solution of -lap(phi) = w - mean(w), periodic."""
-    spec = _spectrum(w)
-    spec *= _inv_k_squared(w.grid)
-    return Field(w.grid, irfftn_into(spec, np.empty(w.grid.shape)))
+    return Field(w.grid, apply_multiplier(w.grid, w.values, _inv_k_squared(w.grid)))
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: multiply coefficients by -|k|^2."""
-    spec = _spectrum(f)
-    spec *= -_k_squared(f.grid)
-    return Field(f.grid, irfftn_into(spec, np.empty(f.grid.shape)))
+    return Field(f.grid, apply_multiplier(f.grid, f.values, -_k_squared(f.grid)))
 
 
 def translate(f: Field, shift) -> Field:
     """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
     require_axes("shift", shift, f.grid.dim)
-    spec = _spectrum(f)
-    for k, t in zip(_wavenumbers(f.grid), shift):
-        spec *= np.exp(1j * k * t)
-    return Field(f.grid, irfftn_into(spec, np.empty(f.grid.shape)))
+    phases = (np.exp(1j * k * t) for k, t in zip(_wavenumbers(f.grid), shift))
+    return Field(f.grid, apply_multiplier(f.grid, f.values, *phases))
 
 
 def integrate(f: Field) -> float:
     """Cell-volume-weighted sum (midpoint rule; exact for trig polynomials)."""
-    return f.grid.cell_volume * float(f.values.sum())
+    return integrate_array(f.grid, f.values)
 
 
 def integrate_array(grid: GridSpec, values: np.ndarray) -> float:
     return grid.cell_volume * float(values.sum())
 
 
-def dirichlet_energy(f: Field, spec: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> float:
-    """Integral of |grad f|^2 via Parseval.
+def dirichlet_energy(f: Field) -> float:
+    """Integral of |grad f|^2 via Parseval."""
+    return quadratic_form(f.grid, f.values, _k_squared(f.grid))
 
-    With ``spec`` (complex, shaped ``grid.spectrum_shape``) and ``out`` (see
-    :func:`parseval_sum`) it allocates nothing field-sized; both are overwritten.
+
+def quadratic_form(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray,
+                   spec: np.ndarray | None = None, scratch: np.ndarray | None = None) -> float:
+    """Integral of g*M(g) over the box by Parseval, for the samples g = ``values``
+    and the real symmetric Fourier multiplier M = ``multiplier``.
+
+    The transform goes into ``spec`` (see :func:`spectrum_buffer`), and
+    |g_hat|^2 is formed in the memory of ``scratch``, a C-contiguous float64
+    field buffer that may be ``values`` itself but must not hold
+    ``multiplier``. With both lent the call allocates nothing field-sized;
+    both are overwritten.
     """
-    return parseval_sum(f.grid, _spectrum(f, spec), _k_squared(f.grid), out)
-
-
-def parseval_sum(grid: GridSpec, spec: np.ndarray, multiplier: np.ndarray,
-                 out: np.ndarray | None = None) -> float:
-    """Integral of g*M(g) over the box, where g has rfftn coefficients ``spec``
-    and M is the real symmetric Fourier multiplier ``multiplier``.
-
-    With ``out``, a float64 array shaped like ``spec`` that aliases neither
-    ``spec`` nor ``multiplier``, the sum allocates nothing field-sized:
-    |spec|^2 is formed in ``out``, and ``spec``'s imaginary part is
-    overwritten on the way.
-    """
-    square = np.multiply(spec.real, spec.real, out=out)
-    square += np.multiply(spec.imag, spec.imag, out=None if out is None else spec.imag)
+    spec = np.fft.rfftn(values, out=spectrum_buffer(grid) if spec is None else spec)
+    square = np.multiply(spec.real, spec.real,
+                         out=None if scratch is None else _half_view(grid, scratch))
+    square += np.multiply(spec.imag, spec.imag, out=None if scratch is None else spec.imag)
     square *= multiplier
     # every coefficient stands for its conjugate too, but those of the planes
     # k_x = 0 and k_x = Nyquist (nx is even), which are self-conjugate

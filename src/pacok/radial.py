@@ -277,16 +277,14 @@ def micelle_energy(m: float, zeta: float, gamma: float, n: int) -> float:
 
 
 def micelle_optimal(zeta: float, gamma: float, n: int) -> tuple[float, float]:
-    """(m*, min E/m) of the micelle family."""
+    """(m*, min E/m) of the micelle family; min E/m is gamma^(1/3) times the
+    cylinder (2-D) or sphere (3-D) branch at zeta."""
     require_positive(zeta=zeta, gamma=gamma)
     shape = _micelle_shape(zeta, n)
+    scale = gamma ** (1.0 / 3.0)
     if n == 2:
-        m_star = _FOUR_PI * (gamma * shape) ** (-2.0 / 3.0)
-        min_ratio = 1.5 * (gamma * shape) ** (1.0 / 3.0)
-    else:
-        m_star = 20.0 * math.pi / (gamma * shape)
-        min_ratio = 4.5 * (gamma * shape / 15.0) ** (1.0 / 3.0)
-    return m_star, min_ratio
+        return _FOUR_PI * (gamma * shape) ** (-2.0 / 3.0), scale * branch_cylinder(zeta)
+    return 20.0 * math.pi / (gamma * shape), scale * branch_sphere(zeta)
 
 
 # ---------------------------------------------------------------------------

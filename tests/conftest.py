@@ -21,9 +21,12 @@ def rng():
 def fft_calls(monkeypatch):
     """Names of the numpy.fft transforms called while the test runs.
 
-    ``irfft`` is the last pass of every inverse (``grid.irfftn_into``), so it
-    counts inverses; ``irfftn`` is counted too, so that a return to the
-    allocating inverse shows up under its own name.
+    Every field transform runs in ``grid.apply_multiplier`` or
+    ``grid.quadratic_form``, which look ``np.fft.rfftn`` up at call time.
+    ``irfft`` is the last pass of every inverse (``grid.irfftn_into``, which
+    only ``apply_multiplier`` calls), so it counts inverses; ``irfftn`` is
+    counted too, so that a return to the allocating inverse shows up under
+    its own name.
     """
     calls = []
     for name in ("rfftn", "irfft", "irfftn"):

@@ -7,8 +7,8 @@ import pytest
 
 import pacok as pk
 from pacok.errors import GridMismatchError, InvalidFieldError
-from pacok.grid import (_inv_k_squared, _k_squared, _wavenumbers, irfftn_into, parseval_sum,
-                        require_same_grid, translate)
+from pacok.grid import (_inv_k_squared, _k_squared, _wavenumbers, apply_multiplier, irfftn_into,
+                        quadratic_form, require_same_grid, spectrum_buffer, translate)
 
 from conftest import band_limited, peak_bytes
 
@@ -170,8 +170,9 @@ class TestDirichletEnergy:
         f = pk.Field(grid, rng.normal(size=grid.shape))
         by_parts = pk.integrate(pk.Field(grid, f.values * (-pk.laplacian(f).values)))
         assert pk.dirichlet_energy(f) == pytest.approx(by_parts, rel=1e-12)
-        spec = np.empty(grid.spectrum_shape, dtype=np.complex128)
-        assert pk.dirichlet_energy(f, spec, np.empty(grid.spectrum_shape)) == pk.dirichlet_energy(f)
+        lent = quadratic_form(grid, f.values, _k_squared(grid), spectrum_buffer(grid),
+                              np.empty(grid.shape))
+        assert lent == pk.dirichlet_energy(f)
 
     def test_nonnegative_zero_iff_constant(self, rng):
         f = band_limited(UNIT, rng)
@@ -244,10 +245,17 @@ class TestStandaloneOperators:
                 spec = spec * np.exp(1j * k * t)
             return spec
 
+        def parseval(multiplier):
+            # conjugate pairs count twice; the self-conjugate planes k_x = 0, Nyquist once
+            spec = np.fft.rfftn(f.values)
+            square = (spec.real * spec.real + spec.imag * spec.imag) * multiplier
+            total = 2.0 * float(square.sum()) - float(square[..., 0].sum()) - float(square[..., -1].sum())
+            return grid.cell_volume / grid.size * total
+
         assert pk.poisson_solve(f).values.tobytes() == filtered(lambda s: s * _inv_k_squared(grid))
         assert pk.laplacian(f).values.tobytes() == filtered(lambda s: s * -_k_squared(grid))
         assert translate(f, shift).values.tobytes() == filtered(phase_shift)
-        assert pk.dirichlet_energy(f) == parseval_sum(grid, np.fft.rfftn(f.values), _k_squared(grid))
+        assert pk.dirichlet_energy(f) == parseval(_k_squared(grid))
 
     def test_translate_allocates_one_half_spectrum_and_its_result(self, rng):
         grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
@@ -256,3 +264,47 @@ class TestStandaloneOperators:
         peak = peak_bytes(lambda: translate(f, (0.1, 0.2, 0.3)))
         half_spectrum = 16 * int(np.prod(grid.spectrum_shape))
         assert peak <= f.values.nbytes + half_spectrum + 64 * 1024
+
+
+class TestLentBuffers:
+    """apply_multiplier and quadratic_form with lent buffers, the forms the
+    stepper, the force and total_energy use, against the standalone operators."""
+
+    @pytest.mark.parametrize("grid", [pk.GridSpec((128, 128), (2.6, 2.6)),
+                                      pk.GridSpec((48, 32, 16), (2.4, 1.6, 0.8))],
+                             ids=["2d", "3d"])
+    def test_bitwise_equal_to_standalone_operators(self, rng, grid):
+        f = pk.Field(grid, rng.normal(size=grid.shape))
+        spec, out = spectrum_buffer(grid), np.empty(grid.shape)
+        phases = [np.exp(1j * k * t) for k, t in zip(_wavenumbers(grid), (0.137, -0.29, 0.41))]
+        for factors, expected in (((_inv_k_squared(grid),), pk.poisson_solve(f)),
+                                  ((-_k_squared(grid),), pk.laplacian(f)),
+                                  (phases, translate(f, (0.137, -0.29, 0.41)[:grid.dim]))):
+            assert apply_multiplier(grid, f.values, *factors, spec=spec, out=out) is out
+            assert out.tobytes() == expected.values.tobytes()
+            in_place = f.values.copy()  # out is values: the stepper's and the force's form
+            assert apply_multiplier(grid, in_place, *factors, spec=spec, out=in_place) is in_place
+            assert in_place.tobytes() == expected.values.tobytes()
+        for multiplier in (_k_squared(grid), _inv_k_squared(grid)):
+            fresh = quadratic_form(grid, f.values, multiplier)
+            assert quadratic_form(grid, f.values, multiplier, spec, out) == fresh
+            in_place = f.values.copy()  # scratch is values: total_energy's form for N
+            assert quadratic_form(grid, in_place, multiplier, spec, in_place) == fresh
+        # 1/|k|^2 formed in a lent field buffer, as total_energy forms it
+        held = np.full(grid.shape, np.nan)
+        assert quadratic_form(grid, f.values, _inv_k_squared(grid, held), spec, out) == \
+            quadratic_form(grid, f.values, _inv_k_squared(grid))
+
+    @pytest.mark.parametrize("grid", [pk.GridSpec((256, 256), (2.6, 2.6)),
+                                      pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))],
+                             ids=["2d", "3d"])
+    def test_lent_buffers_allocate_nothing_field_sized(self, rng, grid):
+        values = rng.normal(size=grid.shape)
+        spec, scratch = spectrum_buffer(grid), np.empty(grid.shape)
+        inv_k2, k2 = _inv_k_squared(grid), _k_squared(grid)
+        calls = [lambda: apply_multiplier(grid, values, inv_k2, spec=spec, out=values),
+                 lambda: quadratic_form(grid, values, k2, spec, scratch),
+                 lambda: quadratic_form(grid, values, _inv_k_squared(grid, scratch), spec, values)]
+        for call in calls:
+            call()  # warm numpy's FFT plan cache
+            assert peak_bytes(call) < values.nbytes
