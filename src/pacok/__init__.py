@@ -15,7 +15,6 @@ from .energy import (
     SplitConstants,
     interpolant,
     interpolant_deriv,
-    potential_W,
     total_energy,
     variational_derivatives,
 )
@@ -31,7 +30,6 @@ from .radial import (
     HelfrichModuli,
     MorphologyBranches,
     RadialCandidate,
-    RescaleParams,
     ZETA0,
     asymptotic_liposome,
     helfrich_moduli,
@@ -40,7 +38,6 @@ from .radial import (
     micelle_optimal,
     morphology,
     optimize_liposome,
-    rescaled_energy,
     stationarity_residual,
     thresholds,
     wasserstein_thickness,
@@ -58,7 +55,7 @@ from .initcond import (
     perforate,
     tanh_profile,
 )
-from .analysis import FitResult, fit_energy_mass, measure_thickness, zero_dipole_shift
+from .analysis import FitResult, fit_energy_mass, zero_dipole_shift
 from .storage import (
     RunConfig,
     load_config,

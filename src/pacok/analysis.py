@@ -1,4 +1,4 @@
-"""Post-processing: asymptote fits, dipole-free translation, layer probes."""
+"""Post-processing: asymptote fits and dipole-free translation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, NoCrossingError
+from .errors import DegenerateFitError
 from .grid import Field, angular_wavenumbers, integrate_array
 
 # exponent window of the energy-to-mass fit; covers the orders 1/2, 1, 2
@@ -175,78 +175,3 @@ def dipole_moment(w: Field) -> np.ndarray:
         coef, k = _moment_coefficients(marginal, w.grid.spacing[axis])
         out.append(_dipole_component(0.0, coef, k))
     return np.array(out)
-
-
-@dataclass(frozen=True)
-class ThicknessProbe:
-    """Level crossings of u and u+v along a ray, and the layer intervals."""
-
-    crossings_u: tuple[float, ...]
-    crossings_uv: tuple[float, ...]
-    intervals: tuple[float, float, float] | None  # (inner V, U, outer V) when radial-like
-
-
-def _interp_along_ray(field: Field, origin, direction, t_values) -> np.ndarray:
-    """Multilinear periodic interpolation of samples along origin + t*direction."""
-    # imported here, not at module level: scipy.ndimage adds ~0.06 s to the
-    # start-up of every process that imports pacok, and only this probe uses it
-    from scipy import ndimage
-
-    grid = field.grid
-    # array axes run (z, y, x), the reverse of the grid axes
-    cells = [(origin[a] + t_values * direction[a]) / grid.spacing[a]
-             for a in reversed(range(grid.dim))]
-    return ndimage.map_coordinates(field.values, cells, order=1, mode="grid-wrap")
-
-
-def _crossings(t_values, samples, level):
-    hits = []
-    delta = samples - level
-    for i in range(len(t_values) - 1):
-        a, b = delta[i], delta[i + 1]
-        if a == 0.0:
-            hits.append(float(t_values[i]))
-        elif a * b < 0:
-            frac = a / (a - b)
-            hits.append(float(t_values[i] + frac * (t_values[i + 1] - t_values[i])))
-    return hits
-
-
-def measure_thickness(
-    u: Field,
-    v: Field,
-    origin,
-    direction,
-    level: float = 0.5,
-    length: float | None = None,
-    samples_per_cell: int = 4,
-) -> ThicknessProbe:
-    """Linear-interpolated level crossings of u and u+v along a ray.
-
-    For a radial state probed outward from its center, the crossings come in
-    the order (u+v up, u up, u down, u+v down) and the returned intervals are
-    the (inner V, U, outer V) layer widths.
-    """
-    grid = u.grid
-    direction = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0:
-        raise ValueError("direction must be nonzero")
-    direction = direction / norm
-    t_max = length if length is not None else 0.5 * min(grid.lengths)
-    n_samples = max(int(np.ceil(t_max / min(grid.spacing) * samples_per_cell)), 8)
-    t_values = np.linspace(0.0, t_max, n_samples)
-    u_samples = _interp_along_ray(u, origin, direction, t_values)
-    uv_samples = u_samples + _interp_along_ray(v, origin, direction, t_values)
-    cross_u = _crossings(t_values, u_samples, level)
-    cross_uv = _crossings(t_values, uv_samples, level)
-    if not cross_u and not cross_uv:
-        raise NoCrossingError("no level crossings along the probe ray")
-    intervals = None
-    if len(cross_u) == 2 and len(cross_uv) == 2 and cross_uv[0] < cross_u[0] < cross_u[1] < cross_uv[1]:
-        intervals = (
-            cross_u[0] - cross_uv[0],
-            cross_u[1] - cross_u[0],
-            cross_uv[1] - cross_u[1],
-        )
-    return ThicknessProbe(tuple(cross_u), tuple(cross_uv), intervals)

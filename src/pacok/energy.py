@@ -153,22 +153,6 @@ def interpolant_pair(params: PhysParams):
     return interpolant, interpolant_deriv
 
 
-def potential_W(u, v):
-    """Degenerate double well W(u, v) >= 0.
-
-    W = 18(u-u^2)^2 + (27/2)[min(v,0)^2 + min(1-v,0)^2 + min(1-u-v,0)^2].
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    well = u - u * u
-    penalty = (
-        np.minimum(v, 0.0) ** 2
-        + np.minimum(1.0 - v, 0.0) ** 2
-        + np.minimum(1.0 - u - v, 0.0) ** 2
-    )
-    return 18.0 * well * well + 13.5 * penalty
-
-
 def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
     """w = f(u) - f(v)/zeta, the source of the electrostatic potential."""
     require_same_grid(u, v)
@@ -180,10 +164,10 @@ def _well_integral(grid: GridSpec, u: np.ndarray, v: np.ndarray,
                    a: np.ndarray, b: np.ndarray) -> float:
     """int W(u, v) through the scratch fields ``a`` and ``b``, with no temporaries.
 
-    W = 18 s^2 + 13.5((v - clip(v, 0, 1))^2 + overlap^2) with s = u - u^2 and
-    overlap = max(u + v - 1, 0): :func:`potential_W`, whose two one-sided v
-    penalties (at most one nonzero) fold into one square. Each of the three
-    integrals is one ``vdot``.
+    W = 18(u-u^2)^2 + (27/2)[min(v,0)^2 + min(1-v,0)^2 + min(1-u-v,0)^2]
+      = 18 s^2 + 13.5((v - clip(v, 0, 1))^2 + overlap^2) with s = u - u^2 and
+    overlap = max(u + v - 1, 0): the two one-sided v penalties (at most one
+    nonzero) fold into one square. Each of the three integrals is one ``vdot``.
     """
     np.multiply(u, u, out=a)
     np.subtract(u, a, out=a)

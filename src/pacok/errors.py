@@ -52,10 +52,6 @@ class DegenerateFitError(PacokError, ValueError):
     """The least-squares design matrix is rank deficient."""
 
 
-class NoCrossingError(PacokError, ValueError):
-    """A ray probe found no level crossings."""
-
-
 class CorruptCheckpointError(PacokError, ValueError):
     """A checkpoint file is malformed; the offset names the first bad byte."""
 

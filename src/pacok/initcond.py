@@ -15,12 +15,13 @@ triggers a warning, not an error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMassError, require_axes, require_nonnegative, require_positive
+from .errors import ZeroMassError, require_axes, require_nonnegative, require_positive, whole_number
 from .grid import Field, GridSpec, integrate
 
 _PROFILE_SLOPE = 3.0
@@ -163,8 +164,8 @@ class Torus:
 class Gyroid:
     """Triply periodic gyroid-like midsurface from the standard level set.
 
-    ``scale`` counts unit cells across each box edge (integer keeps the seed
-    periodic); the pseudo-distance is the level function over its gradient
+    ``scale`` counts unit cells across each box edge, a whole number so that
+    the seed is periodic; the pseudo-distance is the level function over its gradient
     magnitude.
     """
 
@@ -172,8 +173,11 @@ class Gyroid:
     scale: int = 1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
+        object.__setattr__(self, "scale", whole_number("scale", self.scale))
         if self.scale < 1:
-            raise ValueError("scale must be a positive cell count")
+            raise ValueError(f"scale must be a positive cell count, got {self.scale}")
 
     def distance(self, grid):
         if grid.dim != 3:
@@ -206,6 +210,10 @@ class CurveBilayer:
     half_thickness: float | None = None
 
     def __post_init__(self) -> None:
+        if len(self.points) < 3:
+            raise ValueError(f"points must hold at least 3 control points, got {len(self.points)}")
+        for i, point in enumerate(self.points):
+            require_axes(f"points[{i}]", point, 2)
         if self.half_thickness is not None:
             require_positive(half_thickness=self.half_thickness)
 
@@ -213,8 +221,6 @@ class CurveBilayer:
         if grid.dim != 2:
             raise ValueError("curve seeds need a 2-D grid")
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.shape[0] < 3:
-            raise ValueError("need at least 3 control points")
         x, y = grid.coords()
         px = np.broadcast_to(x, grid.shape).ravel()
         py = np.broadcast_to(y, grid.shape).ravel()
@@ -238,29 +244,6 @@ class CurveBilayer:
 
 
 ShapeSpec = Ball | Shell | Slab | Torus | Gyroid | CurveBilayer
-
-
-def random_closed_curve(
-    center: tuple[float, float],
-    mean_radius: float,
-    n_harmonics: int = 4,
-    amplitude: float = 0.15,
-    seed: int = 0,
-    n_points: int = 256,
-) -> CurveBilayer:
-    """Seeded closed Fourier curve r(theta) = R (1 + sum_k a_k cos + b_k sin)."""
-    rng = np.random.default_rng(seed)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    radius = np.full_like(theta, 1.0)
-    for k in range(2, 2 + n_harmonics):
-        a, b = rng.normal(scale=amplitude / k, size=2)
-        radius += a * np.cos(k * theta) + b * np.sin(k * theta)
-    radius = mean_radius * np.clip(radius, 0.2, None)
-    points = tuple(
-        (center[0] + r * np.cos(t), center[1] + r * np.sin(t))
-        for r, t in zip(radius, theta)
-    )
-    return CurveBilayer(points=points)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ constraints
 
 This module evaluates the energy of such candidates, the drops of their
 electrostatic potential across the layers, stationarity residuals,
-constrained minimizers, large-mass asymptotic series, the rescaled
-thin-shell functional, the morphology coefficient c(zeta) with its
-transition thresholds, the bending and Gaussian moduli of the limiting
-curvature energy, and the layer-thickness expansions of the 1-Wasserstein
-sibling model.
+constrained minimizers, large-mass asymptotic series, the morphology
+coefficient c(zeta) with its transition thresholds, the bending and Gaussian
+moduli of the limiting curvature energy, and the layer-thickness expansions
+of the 1-Wasserstein sibling model.
 
 Everything here is closed-form, one-dimensional quadrature or a
 low-dimensional solve; it serves as the independent oracle for the grid
@@ -122,11 +121,6 @@ def _outer_radii(r0: float, r1: float, content: float, zeta: float, n: int) -> t
 def liposome_candidate(m: float, zeta: float, n: int, r0: float, r1: float) -> RadialCandidate:
     """Candidate with the free radii (R0, R1); R2, R3 from the constraints."""
     return RadialCandidate(n, zeta, (r0, r1, *_outer_radii(r0, r1, mass_content(m, n), zeta, n)))
-
-
-def micelle_candidate(m: float, zeta: float, n: int) -> RadialCandidate:
-    """The R0 = R1 = 0 member of the liposome family."""
-    return liposome_candidate(m, zeta, n, 0.0, 0.0)
 
 
 def equal_mass_candidate(m: float, zeta: float, n: int, pivot: float) -> RadialCandidate:
@@ -534,28 +528,6 @@ def asymptotic_liposome(
         shell_mass_imbalance=imbalance,
         remainder_order=order,
     )
-
-
-# ---------------------------------------------------------------------------
-# rescaled thin-shell functional
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RescaleParams:
-    rho: float
-    d: int
-
-    def __post_init__(self) -> None:
-        require_positive(rho=self.rho)
-        if self.d not in (1, 2, 3):
-            raise ValueError("d must be 1, 2 or 3")
-
-
-def rescaled_energy(c: RadialCandidate, rp: RescaleParams, gamma: float = 1.0) -> float:
-    """F_rho via the dilation identity rho^(d-n) F_rho = Per U_rho + N(U_rho, V_rho)."""
-    dilated = c.dilated(1.0 / rp.rho)
-    return rp.rho ** (c.n - rp.d) * liposome_energy(dilated, gamma).total
 
 
 # ---------------------------------------------------------------------------

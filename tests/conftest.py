@@ -64,6 +64,23 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+def potential_W(u, v):
+    """Degenerate double well W(u, v) >= 0, elementwise: the unfused oracle
+    for ``energy._well_integral``.
+
+    W = 18(u-u^2)^2 + (27/2)[min(v,0)^2 + min(1-v,0)^2 + min(1-u-v,0)^2].
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    well = u - u * u
+    penalty = (
+        np.minimum(v, 0.0) ** 2
+        + np.minimum(1.0 - v, 0.0) ** 2
+        + np.minimum(1.0 - u - v, 0.0) ** 2
+    )
+    return 18.0 * well * well + 13.5 * penalty
+
+
 def potential_W_grad(u, v):
     """(dW/du, dW/dv), one-sided quadratics differentiated piecewise: the
     unfused oracle for the well part of ``ExplicitForce``."""
@@ -163,22 +180,6 @@ def mp_potential(candidate: radial.RadialCandidate, r: float, dps: int = 50):
         points = [r] + [x for x in (layers[0][0], *(b for _, b, _ in layers)) if x > r]
         return sum(mp.quad(lambda x: _mp_charge(layers, n, x) / x ** (n - 1), [lo, hi])
                    for lo, hi in zip(points, points[1:]))
-
-
-def radial_seed(candidate: radial.RadialCandidate, grid: pk.GridSpec, epsilon: float,
-                center=None):
-    """Sharp radial candidate rasterized with tanh profiles, with the true
-    (possibly asymmetric) layer radii."""
-    if center is None:
-        center = tuple(0.5 * length for length in grid.lengths)
-    r0, r1, r2, r3 = candidate.radii
-    deltas = [np.mod(x - c + 0.5 * L, L) - 0.5 * L
-              for x, c, L in zip(grid.coords(), center, grid.lengths)]
-    r = np.sqrt(np.broadcast_to(sum(d * d for d in deltas), grid.shape))
-    band = lambda lo, hi: pk.tanh_profile(np.minimum(r - lo, hi - r), epsilon)
-    u = band(r1, r2)
-    v = np.clip(band(r0, r3) - u, 0.0, 1.0)
-    return pk.Field(grid, u), pk.Field(grid, v)
 
 
 def decode_png(path):

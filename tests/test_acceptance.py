@@ -4,8 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. The two long-running pieces (the 2-D 128^2 reproduction and the 3-D
 48^3 property run) execute once as module-scoped fixtures and are shared by
 their criteria. The optional 3-D energy replication (120 000 steps at 64^3,
-~1 h at the 25-30 ms per step measured on a 2-core host) is skipped unless
-PACOK_LONG_TESTS=1.
+~1 h at the 26-32 ms per step, median 30 ms, of nine 100-step runs after a
+10-step warm-up on a shared 2-core host) is skipped unless PACOK_LONG_TESTS=1.
 """
 
 import math
@@ -349,7 +349,7 @@ def test_criterion_13_3d_property_acceptance(desk_3d_run):
 
 
 @pytest.mark.skipif(not os.environ.get("PACOK_LONG_TESTS"),
-                    reason="optional 3-D replication, 120 000 steps x 25-30 ms at 64^3 "
+                    reason="optional 3-D replication, 120 000 steps x 30 ms at 64^3 "
                            "(~1 h); set PACOK_LONG_TESTS=1")
 def test_criterion_13b_optional_3d_energy_replication():
     params = pk.PhysParams(zeta=1.0, gamma=500.0, mass=1.0, epsilon=0.07,

@@ -1,19 +1,14 @@
-"""Curve fitting, dipole-free translation, layer-thickness probes."""
-
-import itertools
-import math
+"""Curve fitting and dipole-free translation."""
 
 import numpy as np
 import pytest
 
 import pacok as pk
 from pacok import analysis
-from pacok.errors import DegenerateFitError, NoCrossingError
+from pacok.errors import DegenerateFitError
 from pacok.grid import translate
 
-from conftest import band_limited, radial_seed
-
-pytestmark = pytest.mark.filterwarnings("ignore:seed geometry exceeds")
+from conftest import band_limited
 
 
 class TestFitEnergyMass:
@@ -144,96 +139,3 @@ class TestZeroDipoleShift:
         w = pk.Field.from_function(grid, lambda x, y: np.sin(2 * np.pi * y) + 0.0 * x)
         shift = pk.zero_dipole_shift(w)
         assert shift[0] == 0.0
-
-
-def _multilinear(values, spacing, point):
-    """Periodic multilinear interpolant of samples (array axes z, y, x) at one point (x first)."""
-    cells = [c / h for c, h in zip(point, spacing)]
-    base = [math.floor(c) for c in cells]
-    counts = values.shape[::-1]
-    total = 0.0
-    for corner in itertools.product((0, 1), repeat=len(cells)):
-        weight = math.prod(c - b if bit else 1.0 - (c - b) for c, b, bit in zip(cells, base, corner))
-        node = tuple((b + bit) % n for b, bit, n in zip(base, corner, counts))
-        total += weight * values[node[::-1]]
-    return total
-
-
-class TestMeasureThickness:
-    @pytest.mark.parametrize("shape, lengths, origin, direction", [
-        ((32, 24), (2.0, 1.5), (-2.7, -0.4), (0.8, -0.6)),
-        ((16, 12, 8), (1.0, 1.2, 0.7), (-1.3, -2.9, -0.05), (-0.48, 0.6, 0.64)),
-    ])
-    def test_ray_interpolation_wraps(self, rng, shape, lengths, origin, direction):
-        # rays from negative coordinates, several box lengths long
-        grid = pk.GridSpec(shape, lengths)
-        field = pk.Field(grid, rng.standard_normal(grid.shape))
-        t_values = np.linspace(0.0, 4.0, 57)
-        got = analysis._interp_along_ray(field, origin, direction, t_values)
-        want = [_multilinear(field.values, grid.spacing,
-                             [o + t * d for o, d in zip(origin, direction)]) for t in t_values]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-
-    def test_origin_moved_by_box_lengths(self):
-        grid = pk.GridSpec((256, 32), (2.0, 1.0))
-        spec = pk.BilayerSpec(
-            shape=pk.Slab(center=(1.0, 0.5), normal=(1.0, 0.0), half_thickness=0.15),
-            epsilon=0.02, zeta=1.0)
-        u, v = pk.build_bilayer(spec, grid)
-        home = pk.measure_thickness(u, v, origin=(1.0, 0.5), direction=(1.0, 0.3), length=0.8)
-        away = pk.measure_thickness(u, v, origin=(-3.0, -1.5), direction=(1.0, 0.3), length=0.8)
-        assert np.allclose(away.crossings_u, home.crossings_u, rtol=0.0, atol=1e-12)
-        assert np.allclose(away.crossings_uv, home.crossings_uv, rtol=0.0, atol=1e-12)
-
-    def test_rasterized_candidate_within_one_cell(self):
-        cand = pk.optimize_liposome(1.0, 1.0, 1500.0, 2)
-        grid = pk.GridSpec((256, 256), (2.6, 2.6))
-        u, v = radial_seed(cand, grid, epsilon=0.02)
-        probe = pk.measure_thickness(u, v, origin=(1.3, 1.3), direction=(1.0, 0.37))
-        assert probe.intervals is not None
-        cell = max(grid.spacing)
-        for measured, true in zip(probe.intervals, cand.thicknesses):
-            assert abs(measured - true) < cell
-
-    def test_inner_interval_larger_than_outer(self):
-        cand = pk.optimize_liposome(1.0, 1.0, 1500.0, 2)
-        grid = pk.GridSpec((512, 512), (2.6, 2.6))
-        u, v = radial_seed(cand, grid, epsilon=0.01)
-        probe = pk.measure_thickness(u, v, origin=(1.3, 1.3), direction=(1.0, 0.0))
-        assert probe.intervals[0] > probe.intervals[2]
-
-    def test_flat_slab_symmetric(self):
-        # probing outward from the midplane: one u crossing and one u+v
-        # crossing per side, identical on both sides by reflection symmetry
-        grid = pk.GridSpec((256, 32), (2.0, 1.0))
-        spec = pk.BilayerSpec(
-            shape=pk.Slab(center=(1.0, 0.5), normal=(1.0, 0.0), half_thickness=0.15),
-            epsilon=0.02, zeta=1.0)
-        u, v = pk.build_bilayer(spec, grid)
-        right = pk.measure_thickness(u, v, origin=(1.0, 0.5), direction=(1.0, 0.0),
-                                     length=0.8)
-        left = pk.measure_thickness(u, v, origin=(1.0, 0.5), direction=(-1.0, 0.0),
-                                    length=0.8)
-        assert right.crossings_u[0] == pytest.approx(left.crossings_u[0], abs=1e-3)
-        assert right.crossings_uv[0] == pytest.approx(left.crossings_uv[0], abs=1e-3)
-        v_right = right.crossings_uv[0] - right.crossings_u[0]
-        v_left = left.crossings_uv[0] - left.crossings_u[0]
-        assert v_right == pytest.approx(v_left, abs=1e-3)
-
-    def test_shift_invariance(self):
-        cand = pk.optimize_liposome(1.0, 1.0, 1500.0, 2)
-        grid = pk.GridSpec((256, 256), (2.6, 2.6))
-        u, v = radial_seed(cand, grid, epsilon=0.02)
-        probe = pk.measure_thickness(u, v, origin=(1.3, 1.3), direction=(1.0, 0.0))
-        cells = (16, 5)
-        rolled_u = pk.Field(grid, np.roll(u.values, (cells[1], cells[0]), axis=(0, 1)))
-        rolled_v = pk.Field(grid, np.roll(v.values, (cells[1], cells[0]), axis=(0, 1)))
-        origin2 = (1.3 + cells[0] * grid.spacing[0], 1.3 + cells[1] * grid.spacing[1])
-        probe2 = pk.measure_thickness(rolled_u, rolled_v, origin=origin2, direction=(1.0, 0.0))
-        assert np.allclose(probe.intervals, probe2.intervals, atol=1e-12)
-
-    def test_no_crossing_raises(self):
-        grid = pk.GridSpec((32, 32), (1.0, 1.0))
-        flat = pk.Field.full(grid, 0.0)
-        with pytest.raises(NoCrossingError):
-            pk.measure_thickness(flat, flat, origin=(0.5, 0.5), direction=(1.0, 0.0))

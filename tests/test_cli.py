@@ -55,10 +55,11 @@ def _overflow_repro(tmp_path):
 
 def _with_shape(**shape):
     """A config edit that seeds ``shape`` (a config's ``init.shape`` mapping),
-    keeping the config's explicit layer thicknesses; a 3-D center gets an 8^3 grid."""
+    keeping the config's explicit layer thicknesses; a gyroid or a 3-D center
+    gets an 8^3 grid."""
     def edit(data):
         data["init"]["shape"] = shape
-        if len(shape.get("center", ())) == 3:
+        if shape["variant"] == "gyroid" or len(shape.get("center", ())) == 3:
             data["grid"] = {"points": [8, 8, 8], "lengths": [2.6, 2.6, 2.6]}
     return edit
 
@@ -435,12 +436,22 @@ class TestRunAndFriends:
         (_unrescaled_init(epsilon=float("inf")), "epsilon must be"),
         (_unrescaled_init(epsilon=float("nan")), "epsilon must be"),
         (_unrescaled_init(u_half_thickness=float("inf")), "u_half_thickness must be"),
+        (_with_shape(variant="gyroid", level=0.0, scale=1.5), "scale must be a whole number"),
+        (_with_shape(variant="gyroid", level=0.0, scale="2"), "scale must be a whole number"),
+        (_with_shape(variant="gyroid", level=0.0, scale=math.nan), "scale must be a whole number"),
+        (_with_shape(variant="gyroid", level=math.nan, scale=1), "level must be finite"),
+        (_with_shape(variant="curve_bilayer", points=[[1.0, 1.0], [math.nan, 1.0], [1.3, 1.6]]),
+         "points[1] must be one finite number per axis of the 2-D grid, got (nan, 1.0)"),
+        (_with_shape(variant="curve_bilayer", points=[[1.0, 1.0], [1.6, 1.0]]),
+         "points must hold at least 3 control points, got 2"),
     ], ids=["unknown-key", "missing-section", "unknown-top-level-key", "non-finite-length",
             "nan-dt", "nan-epsilon", "nan-K1", "inf-gamma", "inf-v_reg", "nan-stop_tol",
             "fractional-points", "fractional-max_steps", "fractional-trace_every",
             "fractional-checkpoint_every", "short-seed-center", "long-seed-center",
             "long-hole-center", "nan-seed-center", "long-slab-normal", "zero-slab-normal",
-            "inf-init-epsilon", "nan-init-epsilon", "inf-init-u_half_thickness"])
+            "inf-init-epsilon", "nan-init-epsilon", "inf-init-u_half_thickness",
+            "fractional-gyroid-scale", "string-gyroid-scale", "nan-gyroid-scale",
+            "nan-gyroid-level", "nan-curve-point", "two-point-curve"])
     def test_config_error_exits_one(self, tmp_path, capsys, edit, named):
         assert _run_edited(tmp_path, edit) == 1
         err = capsys.readouterr().err

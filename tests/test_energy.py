@@ -7,7 +7,7 @@ import pacok as pk
 from pacok.energy import _well_integral, charge_density, interpolant_pair
 from pacok.errors import GridMismatchError
 
-from conftest import peak_bytes, potential_W_grad
+from conftest import peak_bytes, potential_W, potential_W_grad
 
 GRID = pk.GridSpec((32, 32), (1.3, 1.3))
 PARAMS = pk.PhysParams(zeta=0.8, gamma=120.0, mass=0.3, epsilon=0.08, K1=200.0, K2=150.0)
@@ -52,31 +52,31 @@ class TestInterpolant:
 
 class TestPotentialW:
     def test_admissible_states_vanish(self):
-        assert pk.potential_W(0.0, 0.5) == 0.0
-        assert pk.potential_W(1.0, 0.0) == 0.0
+        assert potential_W(0.0, 0.5) == 0.0
+        assert potential_W(1.0, 0.0) == 0.0
         v = np.linspace(0.0, 1.0, 21)
-        assert np.max(pk.potential_W(np.zeros_like(v), v)) == 0.0
+        assert np.max(potential_W(np.zeros_like(v), v)) == 0.0
 
     def test_hand_values(self):
-        assert pk.potential_W(0.5, 0.0) == pytest.approx(1.125, rel=1e-15)
-        assert pk.potential_W(0.0, -0.1) == pytest.approx(0.135, rel=1e-12)
+        assert potential_W(0.5, 0.0) == pytest.approx(1.125, rel=1e-15)
+        assert potential_W(0.0, -0.1) == pytest.approx(0.135, rel=1e-12)
 
     def test_nonnegative(self, rng):
         u = rng.uniform(-2.0, 3.0, 4000)
         v = rng.uniform(-2.0, 3.0, 4000)
-        assert np.min(pk.potential_W(u, v)) >= 0.0
+        assert np.min(potential_W(u, v)) >= 0.0
 
     def test_positive_off_the_well(self):
-        assert pk.potential_W(0.3, 0.2) > 0
-        assert pk.potential_W(1.0, 0.2) > 0   # overlap
-        assert pk.potential_W(0.0, 1.1) > 0
+        assert potential_W(0.3, 0.2) > 0
+        assert potential_W(1.0, 0.2) > 0   # overlap
+        assert potential_W(0.0, 1.1) > 0
 
     def test_convex_in_v(self):
         u_values = np.linspace(-0.5, 1.5, 21)
         v_values = np.linspace(-1.0, 2.0, 41)
         for u in u_values:
-            w = pk.potential_W(np.full_like(v_values, u), v_values)
-            midpoint = pk.potential_W(u, 0.5 * (v_values[:-2] + v_values[2:]))
+            w = potential_W(np.full_like(v_values, u), v_values)
+            midpoint = potential_W(u, 0.5 * (v_values[:-2] + v_values[2:]))
             assert np.all(midpoint <= 0.5 * (w[:-2] + w[2:]) + 1e-12)
 
     def test_gradient_matches_fd(self, rng):
@@ -84,8 +84,8 @@ class TestPotentialW:
         u = rng.uniform(-0.5, 1.5, 500) + 1e-4
         v = rng.uniform(-0.5, 1.5, 500) + 2e-4
         h = 1e-7
-        wu_fd = (pk.potential_W(u + h, v) - pk.potential_W(u - h, v)) / (2 * h)
-        wv_fd = (pk.potential_W(u, v + h) - pk.potential_W(u, v - h)) / (2 * h)
+        wu_fd = (potential_W(u + h, v) - potential_W(u - h, v)) / (2 * h)
+        wv_fd = (potential_W(u, v + h) - potential_W(u, v - h)) / (2 * h)
         wu, wv = potential_W_grad(u, v)
         assert np.max(np.abs(wu - wu_fd)) < 1e-5
         assert np.max(np.abs(wv - wv_fd)) < 1e-5
@@ -128,7 +128,7 @@ class TestPerimeterTerm:
         doubled = pk.PhysParams(zeta=base.zeta, gamma=base.gamma, mass=base.mass,
                                 epsilon=2 * base.epsilon, K1=base.K1, K2=base.K2)
         gradient_part = 0.5 * base.epsilon * pk.dirichlet_energy(u)
-        well_part = pk.integrate(pk.Field(GRID, pk.potential_W(u.values, v.values))) / base.epsilon
+        well_part = pk.integrate(pk.Field(GRID, potential_W(u.values, v.values))) / base.epsilon
         assert pk.total_energy(u, v, base).perimeter == pytest.approx(
             gradient_part + well_part, rel=1e-13)
         assert pk.total_energy(u, v, doubled).perimeter == pytest.approx(
@@ -298,7 +298,7 @@ class TestEnergyKernel:
         params = _params(interpolant)
         u, v = _random_pair(rng, grid, lo=-0.3, hi=1.3)
         eps = params.epsilon
-        oracle = pk.integrate(pk.Field(grid, pk.potential_W(u.values, v.values))) / eps
+        oracle = pk.integrate(pk.Field(grid, potential_W(u.values, v.values))) / eps
         scratch = np.empty(grid.shape), np.empty(grid.shape)
         assert _well_integral(grid, u.values, v.values, *scratch) / eps == pytest.approx(
             oracle, rel=1e-14, abs=0.0)

@@ -33,7 +33,6 @@ POSITIVE_RULE = [
     *_cases(pk.BilayerSpec, {"epsilon": 0.05, "u_half_thickness": 0.05, "v_thickness": 0.05},
             {"shape": pk.Shell(center=(0.5, 0.5), inner_radius=0.2, outer_radius=0.3)}),
     *_cases(pk.tanh_profile, {"epsilon": 0.1}, {"signed_distance": 0.0}),
-    *_cases(pk.RescaleParams, {"rho": 0.1}, {"d": 2}),
     *_cases(pk.wasserstein_thickness, {"eps": 0.01}, {"kappa": 0.5}, OutOfRangeError),
     *_cases(pk.RadialCandidate, {"zeta": 1.0},
             {"n": 2, "radii": radial.liposome_candidate(1.0, 1.0, 2, 0.1, 0.2).radii},

@@ -30,7 +30,7 @@ class TestRadialCandidate:
         assert c.thicknesses == (r1 - r0, r2 - r1, r3 - r2)
 
     def test_micelle_kind(self):
-        c = radial.micelle_candidate(1.0, 1.0, 3)
+        c = radial.liposome_candidate(1.0, 1.0, 3, 0.0, 0.0)
         assert c.kind == "micelle"
         assert c.mass == pytest.approx(1.0, rel=1e-12)
 
@@ -125,7 +125,7 @@ class TestClosedForms:
             m = float(rng.uniform(0.2, 30.0))
             zeta = float(rng.uniform(0.2, 4.0))
             gamma = float(rng.uniform(0.5, 100.0))
-            mc = radial.micelle_candidate(m, zeta, n)
+            mc = radial.liposome_candidate(m, zeta, n, 0.0, 0.0)
             assert pk.liposome_energy(mc, gamma).total == pytest.approx(
                 pk.micelle_energy(m, zeta, gamma, n), rel=1e-12)
 
@@ -223,7 +223,7 @@ class TestStationarity:
 
     def test_micelle_rejected(self):
         with pytest.raises(InvalidCandidateError):
-            pk.stationarity_residual(radial.micelle_candidate(1.0, 1.0, 3), 1.0)
+            pk.stationarity_residual(radial.liposome_candidate(1.0, 1.0, 3, 0.0, 0.0), 1.0)
 
 
 class TestOptimize:
@@ -396,9 +396,8 @@ class TestOptimize:
     ("zeta", lambda x: pk.asymptotic_liposome(1.0, x, 1.0, 2)),
     ("zeta", lambda x: pk.morphology(x)),
     ("zeta", lambda x: pk.helfrich_moduli(x)),
-    ("rho", lambda x: pk.RescaleParams(rho=x, d=2)),
 ], ids=["micelle_energy", "micelle_optimal", "optimize_liposome", "equal_mass",
-        "asymptotic_liposome", "morphology", "helfrich_moduli", "RescaleParams"])
+        "asymptotic_liposome", "morphology", "helfrich_moduli"])
 def test_entry_points_refuse_non_finite_and_nonpositive(name, call, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         call(value)
@@ -447,17 +446,18 @@ class TestAsymptotics:
 
 
 class TestRescaledEnergy:
-    def test_identity_at_rho_one(self):
-        c = pk.optimize_liposome(1e4, 1.0, 1.0, 3)
-        value = pk.rescaled_energy(c, pk.RescaleParams(rho=1.0, d=3))
-        assert value == pytest.approx(pk.liposome_energy(c, 1.0).total, rel=1e-14)
+    """The rescaled thin-shell functional through the dilation identity,
+    F_rho = rho^(n-d) E(c dilated by 1/rho) at gamma = 1."""
+
+    @staticmethod
+    def rescaled(c, rho, d):
+        return rho ** (c.n - d) * pk.liposome_energy(c.dilated(1.0 / rho), 1.0).total
 
     @pytest.mark.parametrize("n,d,rho", [(2, 1, 0.3), (2, 2, 0.07), (3, 1, 0.5), (3, 3, 0.02)])
     def test_two_evaluation_paths_agree(self, n, d, rho):
         c = radial.liposome_candidate(4.0, 1.1, n, 0.55, 0.8)
-        via_dilation = pk.rescaled_energy(c, pk.RescaleParams(rho=rho, d=d))
         direct = rho ** (1 - d) * radial.sharp_perimeter(c) + rho ** (-2 - d) * radial.sharp_nonlocal(c)
-        assert via_dilation == pytest.approx(direct, rel=1e-12)
+        assert self.rescaled(c, rho, d) == pytest.approx(direct, rel=1e-12)
 
     def test_thin_shell_limit(self):
         # d=1, n=3: F_rho/m approaches the flat-bilayer coefficient as rho -> 0
@@ -465,8 +465,7 @@ class TestRescaledEnergy:
         gaps = []
         for rho in (3e-2, 1e-2, 3e-3):
             cand = pk.optimize_liposome(m * rho ** (-2), 1.0, 1.0, 3).dilated(rho)
-            value = pk.rescaled_energy(cand, pk.RescaleParams(rho=rho, d=1))
-            gaps.append(abs(value / m - c0))
+            gaps.append(abs(self.rescaled(cand, rho, 1) / m - c0))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 5e-4
 
