@@ -12,7 +12,6 @@ from .grid import Field, GridSpec, dirichlet_energy, integrate, laplacian, poiss
 from .energy import (
     EnergyBreakdown,
     PhysParams,
-    SplitConstants,
     interpolant,
     interpolant_deriv,
     total_energy,

@@ -123,11 +123,9 @@ def _cmd_run(args) -> int:
     # a restart that steps on skips its input: the run that wrote it traced it last
     resumed = isinstance(cfg.init, str) and cfg.stepper.max_steps > 0
 
-    def on_trace(current, residual):
-        if resumed and current.step == state.step:
-            return
-        storage.append_trace(trace_path, current.step, current.time, current.last_energy,
-                             current.last_energy.masses, residual)
+    def on_trace(step, time, energy, residual):
+        if not (resumed and step == state.step):
+            storage.append_trace(trace_path, step, time, energy, energy.masses, residual)
 
     def on_checkpoint(current):
         storage.write_checkpoint(out_dir / f"ckpt_{current.step:08d}.okpf", current)
@@ -138,10 +136,10 @@ def _cmd_run(args) -> int:
         result = dynamics.run(state, cfg.params, cfg.stepper, on_trace=on_trace,
                               on_checkpoint=on_checkpoint)
     storage.write_checkpoint(out_dir / "ckpt_final.okpf", result.state)
-    energy = result.state.last_energy
+    energy = result.energy.total
     print(f"terminated: {result.reason} after step {result.state.step}")
     print(f"residual {_fmt(result.residual)}")
-    print(f"E {_fmt(energy.total)}  E/m {_fmt(energy.total / cfg.params.mass)}")
+    print(f"E {_fmt(energy)}  E/m {_fmt(energy / cfg.params.mass)}")
     return 0
 
 

@@ -22,19 +22,20 @@ reports as :class:`DivergenceError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import (
-    SPLIT,
+    A_UU,
+    A_VV,
     EnergyBreakdown,
     ExplicitForce,
     PhysParams,
     charge_density,
     total_energy,
 )
-from .errors import DivergenceError, require_positive, whole_number
+from .errors import DivergenceError, is_real, require_positive, whole_number
 from .grid import Field, _k_squared, apply_multiplier, poisson_solve, require_same_grid
 
 
@@ -52,8 +53,8 @@ class StepperConfig:
 
     def __post_init__(self) -> None:
         require_positive(L1=self.L1, L2=self.L2, dt=self.dt)
-        if not self.stop_tol > 0:  # inf allowed: it switches the stationarity check off
-            raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
+        if not (is_real(self.stop_tol) and self.stop_tol > 0):  # inf switches the check off
+            raise ValueError(f"stop_tol must be positive, got {self.stop_tol!r}")
         for name in ("max_steps", "checkpoint_every", "trace_every"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.max_steps < 0:
@@ -69,7 +70,6 @@ class RunState:
     v: Field
     time: float = 0.0
     step: int = 0
-    last_energy: EnergyBreakdown | None = None
 
     def __post_init__(self) -> None:
         require_same_grid(self.u, self.v)
@@ -77,9 +77,10 @@ class RunState:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final state plus why the loop stopped and the last residual."""
+    """Final state and its energy, why the loop stopped, and the last residual."""
 
     state: RunState
+    energy: EnergyBreakdown
     reason: str
     residual: float
 
@@ -109,10 +110,8 @@ class _Stepper:
         eps = params.epsilon
         self.lam_u = cfg.dt * cfg.L1
         self.lam_v = cfg.dt * cfg.L2
-        self.inv_den_u = 1.0 / (1.0 + self.lam_u * (eps * k2 + SPLIT.a_uu / eps))
-        self.inv_den_v = 1.0 / (
-            1.0 + self.lam_v * (2.0 * params.v_reg * k2 + SPLIT.a_vv / eps)
-        )
+        self.inv_den_u = 1.0 / (1.0 + self.lam_u * (eps * k2 + A_UU / eps))
+        self.inv_den_v = 1.0 / (1.0 + self.lam_v * (2.0 * params.v_reg * k2 + A_VV / eps))
 
     def advance(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
         """One step from (u, v); writes u+ into ``out_u`` and v+ into ``out_v``
@@ -134,18 +133,6 @@ def _max_change(new: np.ndarray, old: np.ndarray, work: np.ndarray) -> float:
     return float(work.max())
 
 
-def _with_energy(state: RunState, params: PhysParams, buffers) -> RunState:
-    """``state`` with ``last_energy`` set, evaluated in ``buffers`` (see
-    :func:`~pacok.energy.total_energy`); a non-finite energy is divergence."""
-    try:
-        energy = total_energy(state.u, state.v, params, buffers)
-    except OverflowError:
-        raise DivergenceError(state.step, f"energy overflowed at step {state.step}") from None
-    if not math.isfinite(energy.total):
-        raise DivergenceError(state.step, f"non-finite energy at step {state.step}")
-    return replace(state, last_energy=energy)
-
-
 def run(
     state: RunState,
     params: PhysParams,
@@ -156,29 +143,27 @@ def run(
     """Iterate until the max-norm of (u+ - u)/dt drops below stop_tol.
 
     ``stop_tol = inf`` disables the stationarity check, so the loop runs
-    for exactly max_steps. Emission: every state before the final one is
-    handed to ``on_trace(state, residual)`` and ``on_checkpoint(state)`` when
-    its step is a multiple of that callback's cadence (the input state
-    included, with residual NaN); the final state goes to ``on_trace`` once,
-    whatever its step, and never to ``on_checkpoint``: the caller has it as
-    the result's state. Each emitted state carries ``last_energy`` when
-    traced, and the final one always does.
+    for exactly max_steps. Emission: each state before the final one whose
+    step is a multiple of a callback's cadence goes to that callback, the
+    input included: ``on_trace(step, time, energy, residual)`` gets a row,
+    with the state's :class:`~pacok.energy.EnergyBreakdown` (residual NaN
+    at the input), and ``on_checkpoint(state)`` the state. The final state
+    is traced whatever its step, and its energy is ``result.energy``.
 
     Memory: besides the input, the loop holds about ten field-sized arrays:
     two buffer pairs that u+ and v+ alternate between, the stepper's three
     scratch fields, and about three fields' worth of half-spectrum and
-    multipliers (``spec``, |k|^2, 1/|k|^2, 1/den_u, 1/den_v). An emitted
-    state after the first adds two while the callbacks hold it. Before the
-    final energy the loop frees all but the last pair and the buffers lent
-    to :func:`~pacok.energy.total_energy`.
+    multipliers (``spec``, |k|^2, 1/|k|^2, 1/den_u, 1/den_v). Energies are
+    evaluated in the force's scratch; a checkpoint state after the input
+    adds two while ``on_checkpoint`` holds it. Before the final energy the
+    loop frees all but the last pair and the scratch the energy uses.
 
-    Ownership: no array an emitted state holds is written afterwards. The
-    input state's arrays are only read, so its snapshot wraps them; every
-    later snapshot owns a copy. The result's state holds the final energy
-    and the loop's last pair (a copy of the input when no step was taken),
-    sharing memory with no emitted state; its residual is inf when no step
-    was taken. DivergenceError is raised when a step produces a non-finite
-    sample or an emitted energy overflows or is not finite.
+    Ownership: no array a checkpoint state holds is written afterwards: the
+    input, which is only read, is handed on as it is, and every later state
+    owns a copy. The result's state holds the last pair (a copy of the
+    input when no step was taken, and then the residual is inf).
+    DivergenceError is raised when a step produces a non-finite sample or
+    an energy overflows or is not finite.
     """
     grid = state.u.grid
     stepper = _Stepper(grid, params, cfg)
@@ -192,26 +177,24 @@ def run(
     reason = "max_steps"
     done = 0
 
-    def _snapshot(copy: bool) -> RunState:
-        uu, vv = (u.copy(), v.copy()) if copy else (u, v)
-        return RunState(Field(grid, uu), Field(grid, vv), state.time + done * cfg.dt,
-                        state.step + done)
-
-    def _emit(trace: bool, checkpoint: bool) -> None:
-        # before the first step u and v are the input's arrays, which no step writes
-        current = _snapshot(copy=done > 0)
-        if trace:
-            current = _with_energy(current, params, energy_buffers)
-            on_trace(current, residual)
-        if checkpoint:
-            on_checkpoint(current)
+    def _energy(step: int) -> EnergyBreakdown:
+        # the energy of (u, v), in the lent buffers; a non-finite one is divergence
+        try:
+            energy = total_energy(Field(grid, u), Field(grid, v), params, energy_buffers)
+        except OverflowError:
+            raise DivergenceError(step, f"energy overflowed at step {step}") from None
+        if not math.isfinite(energy.total):
+            raise DivergenceError(step, f"non-finite energy at step {step}")
+        return energy
 
     while done < cfg.max_steps:
-        nstep = state.step + done
-        trace = on_trace is not None and nstep % cfg.trace_every == 0
-        checkpoint = on_checkpoint is not None and nstep % cfg.checkpoint_every == 0
-        if trace or checkpoint:
-            _emit(trace, checkpoint)
+        nstep, time = state.step + done, state.time + done * cfg.dt
+        if on_trace is not None and nstep % cfg.trace_every == 0:
+            on_trace(nstep, time, _energy(nstep), residual)
+        if on_checkpoint is not None and nstep % cfg.checkpoint_every == 0:
+            # no step writes the input's arrays; later states are copied out
+            on_checkpoint(state if done == 0 else
+                          RunState(Field(grid, u.copy()), Field(grid, v.copy()), time, nstep))
         u_new, v_new = stepper.advance(u, v, *pairs[done % 2])
         change_u = _max_change(u_new, u, work)
         change_v = _max_change(v_new, v, work)
@@ -227,11 +210,14 @@ def run(
     # the final energy needs only the state and the buffers lent to it: free
     # the other pair, the force's third scratch field and the multipliers
     del stepper, pairs
-    # the result keeps the last pair; with no step taken, a copy of the input
-    final = _with_energy(_snapshot(copy=done == 0), params, energy_buffers)
+    nstep, time = state.step + done, state.time + done * cfg.dt
+    energy = _energy(nstep)
     if on_trace is not None:
-        on_trace(replace(_snapshot(copy=True), last_energy=final.last_energy), residual)
-    return RunResult(state=final, reason=reason, residual=float(residual) if done else np.inf)
+        on_trace(nstep, time, energy, residual)
+    if done == 0:  # the result owns its arrays: a copy of the input
+        u, v = u.copy(), v.copy()
+    return RunResult(state=RunState(Field(grid, u), Field(grid, v), time, nstep), energy=energy,
+                     reason=reason, residual=float(residual) if done else np.inf)
 
 
 def screening_check(state: RunState, params: PhysParams, threshold: float = 0.01) -> float:

@@ -76,21 +76,11 @@ class PhysParams:
             raise ValueError(f"unknown interpolant {self.interpolant!r}")
 
 
-@dataclass(frozen=True)
-class SplitConstants:
-    """Coefficients of grad W1 for W1 = a_uu u^2/2 + a_uv uv + (a_vv/2) v^2.
-
-    W1 is the convex part of the well that the time stepper treats
-    implicitly; its diagonal (a_uu/eps)u and (a_vv/eps)v are what
-    :class:`ExplicitForce` leaves out of the variational derivatives.
-    """
-
-    a_uu: float = 87.0
-    a_uv: float = 27.0
-    a_vv: float = 54.0
-
-
-SPLIT = SplitConstants()
+# The convex part W1 = A_UU u^2/2 + 27uv + (A_VV/2) v^2 of the well (27^2 <=
+# A_UU*A_VV): the stepper takes (A_UU/eps)u and (A_VV/eps)v implicitly, and
+# :class:`ExplicitForce` leaves them out of the variational derivatives.
+A_UU = 87.0
+A_VV = 54.0
 
 
 @dataclass(frozen=True)
@@ -221,12 +211,12 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> Energy
 class ExplicitForce:
     """The explicit part (F_u, F_v) of the variational derivatives.
 
-        F_u = (W_u - a_uu u)/eps + (gamma*phi - K1(m - int f(u))) f'(u)
-        F_v = (W_v - a_vv v)/eps - ((gamma/zeta)*phi + K2(zeta m - int f(v))) f'(v)
+        F_u = (W_u - A_UU u)/eps + (gamma*phi - K1(m - int f(u))) f'(u)
+        F_v = (W_v - A_VV v)/eps - ((gamma/zeta)*phi + K2(zeta m - int f(v))) f'(v)
 
     with -lap(phi) = f(u) - f(v)/zeta (zero mean), so that
-    dE/du = F_u + (a_uu/eps)u - eps*lap u and
-    dE/dv = F_v + (a_vv/eps)v - 2*v_reg*lap v. This is the one definition of
+    dE/du = F_u + (A_UU/eps)u - eps*lap u and
+    dE/dv = F_v + (A_VV/eps)v - 2*v_reg*lap v. This is the one definition of
     the force: the time stepper takes it explicitly and
     :func:`variational_derivatives` adds the linear part back.
 
@@ -293,14 +283,14 @@ class ExplicitForce:
         np.add(u, v, out=overlap)
         overlap -= 1.0
         np.maximum(overlap, 0.0, out=overlap)
-        # (W_v - a_vv v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - a_vv) v)/eps
+        # (W_v - A_VV v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - A_VV) v)/eps
         np.clip(v, 0.0, 1.0, out=tmp)
         np.subtract(overlap, tmp, out=tmp)
         tmp *= 27.0 / eps
         out_v += tmp
-        np.multiply(v, (27.0 - SPLIT.a_vv) / eps, out=tmp)
+        np.multiply(v, (27.0 - A_VV) / eps, out=tmp)
         out_v += tmp
-        # (W_u - a_uu u)/eps = (36 s (1 - 2u) + 27 overlap - a_uu u)/eps
+        # (W_u - A_UU u)/eps = (36 s (1 - 2u) + 27 overlap - A_UU u)/eps
         np.multiply(u, -2.0, out=tmp)
         tmp += 1.0
         tmp *= s_u
@@ -308,7 +298,7 @@ class ExplicitForce:
         out_u += tmp
         overlap *= 27.0 / eps
         out_u += overlap
-        np.multiply(u, SPLIT.a_uu / eps, out=tmp)
+        np.multiply(u, A_UU / eps, out=tmp)
         out_u -= tmp
 
 
@@ -323,6 +313,6 @@ def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Fie
     uu, vv = u.values, v.values
     du, dv = np.empty(grid.shape), np.empty(grid.shape)
     ExplicitForce(grid, params)(uu, vv, du, dv)
-    du += SPLIT.a_uu / params.epsilon * uu - params.epsilon * laplacian(u).values
-    dv += SPLIT.a_vv / params.epsilon * vv - 2.0 * params.v_reg * laplacian(v).values
+    du += A_UU / params.epsilon * uu - params.epsilon * laplacian(u).values
+    dv += A_VV / params.epsilon * vv - 2.0 * params.v_reg * laplacian(v).values
     return Field(grid, du), Field(grid, dv)

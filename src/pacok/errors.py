@@ -5,10 +5,13 @@ calls: :func:`require_positive` (finite and positive, so a config's ``NaN`` or
 ``Infinity`` literal fails it), :func:`require_nonnegative` (finite and
 nonnegative), :func:`whole_number` (an int, or an integral float) and
 :func:`require_axes` (one finite component per grid axis). Each raises a
-ValueError, or the subclass its caller passes, naming the argument.
+ValueError, or the subclass its caller passes, naming the argument, also
+for a value that is not a real number (:func:`is_real`): a config's string,
+null, list or ``true``.
 """
 
 import math
+import numbers
 import operator
 
 
@@ -64,32 +67,40 @@ class UnsupportedVersionError(CorruptCheckpointError):
     """A checkpoint file declares a version this reader does not speak."""
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool (JSON's true and false are ints to Python)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_positive(*, error: type[ValueError] = ValueError, **values: float) -> None:
     """An ``error`` naming the first of ``values`` that is not finite and positive."""
     for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise error(f"{name} must be finite and positive, got {value}")
+        if not (is_real(value) and 0 < value < math.inf):
+            raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 def require_nonnegative(**values: float) -> None:
     """A ValueError naming the first of ``values`` that is not finite and nonnegative."""
     for name, value in values.items():
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not (is_real(value) and 0 <= value < math.inf):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def whole_number(name: str, value) -> int:
     """``value`` as an int; a ValueError that names ``name`` unless it is a whole number."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    try:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def require_axes(name: str, values, dim: int) -> None:
     """A ValueError naming ``name`` unless ``values`` is one finite number per grid axis."""
-    if len(values) != dim or not all(map(math.isfinite, values)):
+    try:
+        shown = components = tuple(values)
+    except TypeError:  # a bare number or null has no components
+        shown, components = repr(values), ()
+    if len(components) != dim or not all(is_real(x) and math.isfinite(x) for x in components):
         raise ValueError(f"{name} must be one finite number per axis of the {dim}-D grid, "
-                         f"got {tuple(values)}")
+                         f"got {shown}")

@@ -47,10 +47,12 @@ class GridSpec:
     lengths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        points = tuple(whole_number(f"points[{axis}]", n) for axis, n in enumerate(self.points))
-        lengths = tuple(float(value) for value in self.lengths)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lengths", lengths)
+        try:
+            points, lengths = tuple(self.points), tuple(self.lengths)
+        except TypeError:
+            raise ValueError(f"points and lengths must list one number per axis, got "
+                             f"{self.points!r} and {self.lengths!r}") from None
+        points = tuple(whole_number(f"points[{axis}]", n) for axis, n in enumerate(points))
         if len(points) not in (2, 3):
             raise ValueError(f"grid dimension must be 2 or 3, got {len(points)}")
         if len(lengths) != len(points):
@@ -58,6 +60,8 @@ class GridSpec:
         if any(n < 4 or n % 2 for n in points):
             raise ValueError(f"point counts must be even and >= 4, got {points}")
         require_positive(**{f"lengths[{axis}]": length for axis, length in enumerate(lengths)})
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "lengths", tuple(map(float, lengths)))
 
     @property
     def dim(self) -> int:

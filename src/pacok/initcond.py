@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMassError, require_axes, require_nonnegative, require_positive, whole_number
+from .errors import (ZeroMassError, is_real, require_axes, require_nonnegative, require_positive,
+                     whole_number)
 from .grid import Field, GridSpec, integrate
 
 _PROFILE_SLOPE = 3.0
@@ -143,8 +144,8 @@ class Torus:
 
     def __post_init__(self) -> None:
         require_positive(major_radius=self.major_radius, minor_radius=self.minor_radius)
-        if not self.deform_factor >= 1.0:  # NaN fails too
-            raise ValueError(f"deform_factor must be >= 1, got {self.deform_factor}")
+        if not (is_real(self.deform_factor) and self.deform_factor >= 1.0):  # NaN fails too
+            raise ValueError(f"deform_factor must be >= 1, got {self.deform_factor!r}")
 
     def distance(self, grid):
         if grid.dim != 3:
@@ -173,8 +174,8 @@ class Gyroid:
     scale: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.level):
-            raise ValueError(f"level must be finite, got {self.level}")
+        if not (is_real(self.level) and math.isfinite(self.level)):
+            raise ValueError(f"level must be finite, got {self.level!r}")
         object.__setattr__(self, "scale", whole_number("scale", self.scale))
         if self.scale < 1:
             raise ValueError(f"scale must be a positive cell count, got {self.scale}")
@@ -210,8 +211,9 @@ class CurveBilayer:
     half_thickness: float | None = None
 
     def __post_init__(self) -> None:
-        if len(self.points) < 3:
-            raise ValueError(f"points must hold at least 3 control points, got {len(self.points)}")
+        count = len(self.points) if hasattr(self.points, "__len__") else self.points
+        if not isinstance(count, int) or count < 3:  # null or a bare number holds none
+            raise ValueError(f"points must hold at least 3 control points, got {count!r}")
         for i, point in enumerate(self.points):
             require_axes(f"points[{i}]", point, 2)
         if self.half_thickness is not None:
@@ -262,17 +264,19 @@ class BilayerSpec:
     zeta: float | None = None
 
     def __post_init__(self) -> None:
+        if self.zeta is not None:
+            require_positive(zeta=self.zeta)
         if self.u_half_thickness is None:
             u_half = self.shape.pins_u_half()
             if u_half is None:
                 raise ValueError("this shape does not pin u_half_thickness; pass it")
             object.__setattr__(self, "u_half_thickness", float(u_half))
+        require_positive(epsilon=self.epsilon, u_half_thickness=self.u_half_thickness)
         if self.v_thickness is None:
             if self.zeta is None:
                 raise ValueError("v_thickness default needs zeta")
             object.__setattr__(self, "v_thickness", self.zeta * self.u_half_thickness)
-        require_positive(epsilon=self.epsilon, u_half_thickness=self.u_half_thickness,
-                         v_thickness=self.v_thickness)
+        require_positive(v_thickness=self.v_thickness)
 
 
 def build_bilayer(spec: BilayerSpec, grid: GridSpec) -> tuple[Field, Field]:

@@ -109,9 +109,6 @@ class RadialCandidate:
         r0, r1, r2, r3 = self.radii
         return (r1 - r0, r2 - r1, r3 - r2)
 
-    def dilated(self, scale: float) -> "RadialCandidate":
-        return RadialCandidate(self.n, self.zeta, tuple(r * scale for r in self.radii))
-
 
 def _outer_radii(r0: float, r1: float, content: float, zeta: float, n: int) -> tuple[float, float]:
     """(R2, R3) of the mass constraints, given (R0, R1) and the content R2^n - R1^n."""

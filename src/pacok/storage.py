@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import RunState, StepperConfig
 from .energy import EnergyBreakdown, PhysParams
 from .errors import (CorruptCheckpointError, InvalidFieldError, UnsupportedVersionError,
-                     require_nonnegative)
+                     require_nonnegative, whole_number)
 from .grid import Field, GridSpec
 from . import initcond
 
@@ -49,6 +49,8 @@ class NoisePerturbation:
 
     def __post_init__(self) -> None:
         require_nonnegative(amplitude=self.amplitude)
+        object.__setattr__(self, "seed", whole_number("seed", self.seed))
+        require_nonnegative(seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,13 @@ class RunConfig:
     output_dir: str = "out"
     rescale_masses: bool = True  # a shape seed's, after its perturbation; never a checkpoint's
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rescale_masses, bool):
+            raise ValueError(f"rescale_masses must be true or false, got {self.rescale_masses!r}")
+        for name, path in (("output_dir", self.output_dir), ("checkpoint", self.init)):
+            if not isinstance(path, (str, initcond.BilayerSpec)):
+                raise ValueError(f"{name} must be a path, got {path!r}")
+
 
 # One tag table per tagged union; encoding and decoding both read it.
 _SHAPE_TAGS = {
@@ -97,7 +106,7 @@ def _untagged(key: str, tags: dict, data: dict, where: str):
     """Inverse of :func:`_tagged`; JSON lists become tuples."""
     data = {k: _tuplify(v) for k, v in data.items()}
     tag = data.pop(key, None)
-    if tag not in tags:
+    if not isinstance(tag, str) or tag not in tags:
         raise ValueError(f"unknown {key} {tag!r} in {where}")
     return _build(tags[tag], data, where)
 

@@ -105,6 +105,11 @@ def band_limited(grid: pk.GridSpec, rng, max_mode: int = 6, zero_mean: bool = Tr
     return pk.Field(grid, values)
 
 
+def dilated(c: radial.RadialCandidate, scale: float) -> radial.RadialCandidate:
+    """The candidate with every radius multiplied by ``scale``."""
+    return radial.RadialCandidate(c.n, c.zeta, tuple(r * scale for r in c.radii))
+
+
 def radial_potential(c: radial.RadialCandidate, r):
     """Potential phi(r) of the candidate, phi(infinity) = 0; vectorized in r.
 

@@ -51,9 +51,9 @@ def _drive(state, params, cfg_dt, mobilities, steps, energy_every):
                            max_steps=steps, stop_tol=math.inf, trace_every=energy_every)
     history = []
 
-    def on_trace(current, residual):
-        if current.step % energy_every == 0 and current.step > 0:
-            history.append((current.step, current.last_energy.total))
+    def on_trace(step, time, energy, residual):
+        if step % energy_every == 0 and step > 0:
+            history.append((step, energy.total))
 
     result = pk.run(state, params, cfg, on_trace=on_trace)
     return result.state, history
@@ -271,7 +271,6 @@ def test_criterion_08_energy_decrease_2d():
 
 def test_criterion_09_desk_scale_2d_reproduction(desk_2d_run):
     final, history, params = desk_2d_run
-    ratio = final.last_energy.total if final.last_energy else None
     energy = pk.total_energy(final.u, final.v, params).total
     ratio = energy / params.mass
     sharp_limit = (9.0 * 1500.0 * 2.0 / 8.0) ** (1.0 / 3.0)  # = 15

@@ -457,6 +457,41 @@ class TestRunAndFriends:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("params", "epsilon", "0.05"),
+        ("params", "K1", None),
+        ("params", "zeta", [1]),
+        ("params", "gamma", True),
+        ("params", "v_reg", "0"),
+        ("stepper", "stop_tol", "x"),
+        ("stepper", "dt", False),
+        ("stepper", "max_steps", True),
+        ("grid", "lengths", ["2.6", 2.6]),
+        ("grid", "lengths", None),
+        ("init", "u_half_thickness", "0.1"),
+        ("init", "zeta", "1"),
+        ("init.shape", "center", ["1.3", 1.3]),
+        ("init.shape", "center", None),
+        ("init.shape", "variant", {}),
+        ("perturb", "amplitude", [0.01]),
+        ("perturb", "seed", "0"),
+        ("perturb", "seed", -1),
+        (None, "rescale_masses", "no"),
+    ], ids=lambda item: json.dumps(item) if not isinstance(item, str) else item)
+    def test_config_value_of_the_wrong_type_exits_one(self, tmp_path, capsys, section, key,
+                                                      value):
+        # a string, null, list or bool where a number goes once raised a TypeError,
+        # or ran: true as 1
+        def edit(data):
+            target = data
+            for name in (section.split(".") if section else ()):
+                target = target[name]
+            target[key] = value
+
+        assert _run_edited(tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+
     @pytest.mark.parametrize("shape,key", [
         ({"variant": "ball", "center": [1.3, 1.3], "radius": math.inf}, "radius"),
         ({"variant": "ball", "center": [1.3, 1.3], "radius": -0.2}, "radius"),

@@ -7,8 +7,8 @@ import pytest
 
 import pacok as pk
 from pacok import dynamics, initcond
-from pacok.dynamics import SPLIT, _Stepper
-from pacok.energy import interpolant_pair
+from pacok.dynamics import _Stepper
+from pacok.energy import A_UU, A_VV, interpolant_pair
 from pacok.errors import DivergenceError
 from pacok.grid import _k_squared, integrate_array
 
@@ -17,6 +17,7 @@ from conftest import peak_bytes, potential_W, potential_W_grad
 GRID = pk.GridSpec((32, 32), (1.8, 1.8))
 PARAMS = pk.PhysParams(zeta=1.0, gamma=1500.0, mass=0.4, epsilon=0.05, K1=3e4, K2=4800.0)
 CFG = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=100, stop_tol=1e-9)
+A_UV = 27.0  # the cross coefficient of W1, which the stepper keeps explicit
 
 
 def _liposome_state(grid=GRID, mass=0.4, eps=0.05, noise=None):
@@ -46,13 +47,13 @@ def amplification_matrix(k2: float, dt: float, params, cfg) -> np.ndarray:
     """Mode update matrix of the linearized scheme (W2, nonlocal, penalties off).
 
     Its spectral radius is <= 1 for every mode and every dt because
-    a_uv^2 <= a_uu*a_vv; it says nothing about the full scheme's explicit terms.
+    A_UV^2 <= A_UU*A_VV; it says nothing about the full scheme's explicit terms.
     """
     eps = params.epsilon
-    den_u = 1.0 + dt * cfg.L1 * (eps * k2 + SPLIT.a_uu / eps)
-    den_v = 1.0 + dt * cfg.L2 * (2.0 * params.v_reg * k2 + SPLIT.a_vv / eps)
-    c_u = dt * cfg.L1 * SPLIT.a_uv / eps
-    c_v = dt * cfg.L2 * SPLIT.a_uv / eps
+    den_u = 1.0 + dt * cfg.L1 * (eps * k2 + A_UU / eps)
+    den_v = 1.0 + dt * cfg.L2 * (2.0 * params.v_reg * k2 + A_VV / eps)
+    c_u = dt * cfg.L1 * A_UV / eps
+    c_v = dt * cfg.L2 * A_UV / eps
     return np.array([[1.0 / den_u, -c_u / den_u], [-c_v / den_v, 1.0 / den_v]])
 
 
@@ -72,7 +73,7 @@ class TestSplitW:
         assert np.allclose(w1 + w2, potential_W(u, v), rtol=1e-14, atol=1e-14)
 
     def test_w1_hessian_positive_definite(self):
-        hessian = np.array([[SPLIT.a_uu, SPLIT.a_uv], [SPLIT.a_uv, SPLIT.a_vv]])
+        hessian = np.array([[A_UU, A_UV], [A_UV, A_VV]])
         assert np.linalg.det(hessian) == pytest.approx(3969.0)
         assert np.trace(hessian) == pytest.approx(141.0)
         assert np.all(np.linalg.eigvalsh(hessian) > 0)
@@ -106,8 +107,8 @@ class TestAmplification:
                 assert rho <= 1.0 + 1e-12
 
     def test_relies_on_split_definiteness(self):
-        # the bound rho <= 1 is exactly a_uv^2 <= a_uu * a_vv
-        assert SPLIT.a_uv**2 <= SPLIT.a_uu * SPLIT.a_vv
+        # the bound rho <= 1 is exactly A_UV^2 <= A_UU * A_VV
+        assert A_UV**2 <= A_UU * A_VV
 
 
 def _one_step(state, params, cfg):
@@ -165,8 +166,8 @@ class TestStep:
         assert new.time == pytest.approx(CFG.dt)
 
     def test_carries_the_energy_of_the_new_state(self):
-        new = _one_step(_liposome_state(), PARAMS, CFG)
-        assert new.last_energy.total == pk.total_energy(new.u, new.v, PARAMS).total
+        result = pk.run(_liposome_state(), PARAMS, replace(CFG, max_steps=1, stop_tol=np.inf))
+        assert result.energy == pk.total_energy(result.state.u, result.state.v, PARAMS)
 
 
 def _oracle_advance(grid, params, cfg, u, v):
@@ -174,8 +175,8 @@ def _oracle_advance(grid, params, cfg, u, v):
     apart, W gradient unfused), kept as an independent oracle."""
     p, eps, axes = params, params.epsilon, tuple(range(grid.dim))
     k2 = _k_squared(grid)
-    den_u = 1.0 + cfg.dt * cfg.L1 * (eps * k2 + SPLIT.a_uu / eps)
-    den_v = 1.0 + cfg.dt * cfg.L2 * (2.0 * p.v_reg * k2 + SPLIT.a_vv / eps)
+    den_u = 1.0 + cfg.dt * cfg.L1 * (eps * k2 + A_UU / eps)
+    den_v = 1.0 + cfg.dt * cfg.L2 * (2.0 * p.v_reg * k2 + A_VV / eps)
     f, fp = interpolant_pair(p)
     fu, fv = f(u), f(v)
     w_hat = np.fft.rfftn(fu - fv / p.zeta)
@@ -184,8 +185,8 @@ def _oracle_advance(grid, params, cfg, u, v):
     phi = np.fft.irfftn(phi_hat, s=grid.shape, axes=axes)
     mass_u, mass_v = integrate_array(grid, fu), integrate_array(grid, fv)
     w_u, w_v = potential_W_grad(u, v)
-    force_u = (w_u - SPLIT.a_uu * u) / eps + (p.gamma * phi - p.K1 * (p.mass - mass_u)) * fp(u)
-    force_v = (w_v - SPLIT.a_vv * v) / eps - (
+    force_u = (w_u - A_UU * u) / eps + (p.gamma * phi - p.K1 * (p.mass - mass_u)) * fp(u)
+    force_v = (w_v - A_VV * v) / eps - (
         p.gamma / p.zeta * phi + p.K2 * (p.zeta * p.mass - mass_v)) * fp(v)
     u_hat = (np.fft.rfftn(u) - cfg.dt * cfg.L1 * np.fft.rfftn(force_u)) / den_u
     v_hat = (np.fft.rfftn(v) - cfg.dt * cfg.L2 * np.fft.rfftn(force_v)) / den_v
@@ -256,12 +257,15 @@ class TestWorkspaceStepper:
     def test_run_energies_equal_standalone(self, points, lengths, interpolant):
         grid = pk.GridSpec(points, lengths)
         state, params = _noisy_shell(grid, interpolant)
-        cfg = replace(CFG, max_steps=4, stop_tol=np.inf, trace_every=2)
-        traced = []
-        pk.run(state, params, cfg, on_trace=lambda s, r: traced.append(s))
-        assert [s.step for s in traced] == [0, 2, 4]
-        for current in traced:
-            assert current.last_energy == pk.total_energy(current.u, current.v, params)
+        cfg = replace(CFG, max_steps=4, stop_tol=np.inf, trace_every=2, checkpoint_every=2)
+        traced, checked = [], []
+        result = pk.run(state, params, cfg,
+                        on_trace=lambda step, time, e, r: traced.append((step, e)),
+                        on_checkpoint=checked.append)
+        assert [step for step, _ in traced] == [0, 2, 4]
+        for current, (step, energy) in zip([*checked, result.state], traced, strict=True):
+            assert current.step == step
+            assert energy == pk.total_energy(current.u, current.v, params)
 
     def test_six_ffts_per_step(self, fft_calls):
         state = _liposome_state()
@@ -280,39 +284,37 @@ class TestWorkspaceStepper:
                                trace_every=1, checkpoint_every=2)
         traced, checked = [], []
 
-        def on_trace(current, residual):
-            traced.append((current, current.u.values.copy(), current.v.values.copy()))
-
         def on_checkpoint(current):
             checked.append((current, current.u.values.copy(), current.v.values.copy()))
 
-        result = pk.run(state, PARAMS, cfg, on_trace=on_trace, on_checkpoint=on_checkpoint)
-        assert [s.step for s, _, _ in traced] == list(range(7))
-        for current, u, v in traced + checked:
+        result = pk.run(state, PARAMS, cfg, on_checkpoint=on_checkpoint,
+                        on_trace=lambda step, time, energy, r: traced.append((step, energy)))
+        assert [step for step, _ in traced] == list(range(7))
+        assert traced[-1][1] is result.energy
+        assert [s.step for s, _, _ in checked] == [0, 2, 4]
+        # no array a checkpoint state holds is written afterwards, the input's included
+        for current, u, v in checked:
             assert np.array_equal(current.u.values, u)
             assert np.array_equal(current.v.values, v)
-        assert np.array_equal(traced[-1][0].u.values, result.state.u.values)
-        assert not np.shares_memory(traced[-1][0].u.values, result.state.u.values)
         assert np.array_equal(state.u.values, before[0])
         assert np.array_equal(state.v.values, before[1])
-        for first, _, _ in (traced[0], checked[0]):
-            assert first.step == 0
-            assert np.array_equal(first.u.values, before[0])
-            assert np.array_equal(first.v.values, before[1])
-        for current, _, _ in traced + checked:
+        first = checked[0][0]
+        assert first.u.values is state.u.values and first.v.values is state.v.values
+        for current, _, _ in checked:
             for emitted in (current.u.values, current.v.values):
                 assert not np.shares_memory(emitted, result.state.u.values)
                 assert not np.shares_memory(emitted, result.state.v.values)
 
-    @pytest.mark.parametrize("trace_every,bound", [(None, 11.0), (2, 12.5)],
+    @pytest.mark.parametrize("trace_every,bound", [(None, 11.0), (2, 10.5)],
                              ids=["final-only", "every-2"])
     def test_run_peak_memory_in_fields(self, trace_every, bound):
         # the loop holds ~10 fields (two buffer pairs, three force scratch
-        # fields, spectrum and multipliers); a traced state adds its own two
+        # fields, spectrum and multipliers); a traced row is evaluated in the
+        # force's scratch and adds nothing field-sized
         grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
         state, params = _noisy_shell(grid, "cubic")
         cfg = replace(CFG, max_steps=6, stop_tol=np.inf, trace_every=trace_every or 1)
-        callbacks = {} if trace_every is None else {"on_trace": lambda s, r: None}
+        callbacks = {} if trace_every is None else {"on_trace": lambda step, t, e, r: None}
         pk.run(state, params, cfg, **callbacks)  # warm the wavenumber caches
         peak = peak_bytes(lambda: pk.run(state, params, cfg, **callbacks))
         assert peak / state.u.values.nbytes < bound
@@ -362,11 +364,11 @@ class TestRun:
                                trace_every=4, checkpoint_every=5)
         traced, checked = [], []
         result = pk.run(state, PARAMS, cfg,
-                        on_trace=lambda s, r: traced.append(s.step),
+                        on_trace=lambda step, time, e, r: traced.append(step),
                         on_checkpoint=lambda s: checked.append(s.step))
         assert traced == [0, 4, 8, 10]
         assert checked == [0, 5]  # the final state is the caller's to write
-        assert result.state.last_energy is not None
+        assert result.energy is not None
 
     @pytest.mark.parametrize("max_steps,traced,calls", [(12, True, 12 // 4 + 1),
                                                          (12, False, 1),
@@ -383,11 +385,11 @@ class TestRun:
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=max_steps,
                                stop_tol=np.inf, trace_every=4, checkpoint_every=3)
         rows = []
-        callbacks = dict(on_trace=lambda s, r: rows.append((s.step, r)),
+        callbacks = dict(on_trace=lambda step, time, e, r: rows.append((step, r)),
                          on_checkpoint=lambda s: None) if traced else {}
         result = pk.run(_liposome_state(), PARAMS, cfg, **callbacks)
         assert len(energies) == calls
-        assert result.state.last_energy is energies[-1]
+        assert result.energy is energies[-1]
         if traced:
             assert [step for step, _ in rows] == list(range(0, max_steps + 1, 4))
             assert np.isnan(rows[0][1])
@@ -397,7 +399,7 @@ class TestRun:
         state = _liposome_state()
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=0, stop_tol=1e-12)
         traced = []
-        pk.run(state, PARAMS, cfg, on_trace=lambda s, r: traced.append(s.step))
+        pk.run(state, PARAMS, cfg, on_trace=lambda step, time, e, r: traced.append(step))
         assert traced == [0]
 
     def test_energy_decreases_and_traces(self):
@@ -405,7 +407,7 @@ class TestRun:
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=400, stop_tol=1e-12,
                                trace_every=1)
         energies = []
-        pk.run(state, PARAMS, cfg, on_trace=lambda s, r: energies.append(s.last_energy.total))
+        pk.run(state, PARAMS, cfg, on_trace=lambda step, time, e, r: energies.append(e.total))
         energy = np.array(energies)
         increments = np.diff(energy[10:])
         assert np.all(increments <= 1e-8 * np.abs(energy[10:-1]))
@@ -448,7 +450,7 @@ class TestPerforatedLiposome2D:
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=4000, stop_tol=1e-12,
                                trace_every=50)
         result = pk.run(pk.RunState(u=u2, v=v2), params, cfg,
-                        on_trace=lambda s, r: energies.append(s.last_energy.total))
+                        on_trace=lambda step, time, e, r: energies.append(e.total))
         energy = np.array(energies)
         assert energy[-1] < energy[0]
         assert np.all(np.diff(energy[2:]) <= 1e-8 * np.abs(energy[2:-1]))

@@ -68,6 +68,18 @@ def test_positive_rule_refuses_every_value_outside_the_open_half_line(name, erro
         call(value)
 
 
+# JSON values that are not real numbers (Python compares true as 1); null is
+# left out, since it is the default of some of the governed arguments
+NOT_REAL = pytest.mark.parametrize("value", ["1.0", [1.0], True], ids=["string", "list", "true"])
+
+
+@NOT_REAL
+@pytest.mark.parametrize("name,error,call", POSITIVE_RULE)
+def test_positive_rule_refuses_a_value_that_is_not_a_real_number(name, error, call, value):
+    with pytest.raises(error, match=re.escape(f"{name} must be finite and positive")):
+        call(value)
+
+
 FIELD = pk.Field.full(pk.GridSpec((8, 8), (1.0, 1.0)), 0.5)
 NONNEGATIVE_RULE = [
     pytest.param("v_reg", lambda x: pk.PhysParams(zeta=1.0, gamma=1500.0, mass=1.0, epsilon=0.05,
@@ -90,6 +102,13 @@ NONNEGATIVE_RULE = [
 @example(value=-math.inf)
 @example(value=-5e-324)
 def test_nonnegative_rule_refuses_every_value_outside_the_closed_half_line(name, call, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and nonnegative")):
+        call(value)
+
+
+@NOT_REAL
+@pytest.mark.parametrize("name,call", NONNEGATIVE_RULE)
+def test_nonnegative_rule_refuses_a_value_that_is_not_a_real_number(name, call, value):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and nonnegative")):
         call(value)
 

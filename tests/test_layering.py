@@ -4,12 +4,14 @@ Every other module sees only Fourier multipliers and the grid functions that
 apply them, so a change of basis (say, to cosine transforms for mirror
 symmetry) touches one module. The checks read the source with ``ast``.
 
-Two guards for deletions ride along: no module imports a name it never
-uses, and every ``pk.<name>...`` chain that the benchmark's workloads call
-still resolves on the package.
+Guards for deletions and renames ride along: no module imports a name it
+never uses, every ``pk.<name>...`` chain that the benchmark's workloads call
+still resolves on the package, and so does every pacok attribute that the
+benchmark's tracer wraps.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -66,6 +68,34 @@ def unused_imports(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(alias.asname or alias.name for alias in node.names)
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def tracer_targets(tree: ast.Module) -> set[str]:
+    """``module.attr`` of each attribute of a module imported from pacok that
+    the tracer wraps with ``self._patch(module, attr, ...)`` (``attr`` a
+    string, or a ``for`` variable over a tuple of strings) or names as
+    ``module.attr`` directly."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "pacok"
+               for alias in node.names}
+
+    def patches(node):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "_patch" and isinstance(call.args[0], ast.Name)
+                and call.args[0].id in modules]
+
+    targets = {f"{call.args[0].id}.{call.args[1].value}" for call in patches(tree)
+               if isinstance(call.args[1], ast.Constant)}
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Tuple):
+            for call in patches(loop):
+                if isinstance(call.args[1], ast.Name) and call.args[1].id == loop.target.id:
+                    targets.update(f"{call.args[0].id}.{item.value}" for item in loop.iter.elts)
+    targets.update(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules)
+    return targets
 
 
 def spectrum_reshapes(tree: ast.Module) -> list[int]:
@@ -140,3 +170,44 @@ def test_benchmark_workloads_resolve_on_the_package():
                                interpolant=interpolant)
         f, f_prime = pk.energy.interpolant_pair(params)
         assert callable(f) and callable(f_prime)
+
+
+# Names the tracer wraps that the package no longer defines, so their spans
+# read 0; the benchmark's next change re-points them (ROADMAP item 9).
+STALE_TRACER_NAMES = {"dynamics.potential_W_grad"}
+
+
+def test_tracer_targets_resolve_on_the_package():
+    targets = tracer_targets(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()))
+    module_names = {target.split(".")[0] for target in targets}
+    modules = {name: importlib.import_module(f"pacok.{name}") for name in module_names}
+    missing = {target for target in targets
+               if not hasattr(modules[target.split(".")[0]], target.split(".")[1])}
+    assert {"dynamics.run", "dynamics.total_energy", "cli.total_energy"} <= targets
+    assert len(targets) >= 20
+    # a name that resolves again leaves the list; a name newly lost joins it
+    assert missing == STALE_TRACER_NAMES
+
+
+def test_tracer_target_detector_sees_each_form():
+    source = ("from pacok import cli, dynamics\nimport numpy.fft\n"
+              "self._patch(dynamics, 'total_energy', 'x')\n"
+              "self._patch(numpy.fft, 'rfftn', 'x')\n"
+              "for attr in ('load_config', 'main'):\n    self._patch(cli, attr, 'x')\n"
+              "for key in ('a', 'b'):\n    pass\n"
+              "original = dynamics.run\n")
+    assert tracer_targets(ast.parse(source)) == {
+        "dynamics.total_energy", "cli.load_config", "cli.main", "dynamics.run"}
+
+
+def test_cli_run_hands_both_callbacks_by_keyword():
+    # the tracer wraps the callbacks it finds among run()'s keyword arguments
+    tree = ast.parse((SRC / "cli.py").read_text())
+    command = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_cmd_run")
+    runs = [node for node in ast.walk(command)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "dynamics"]
+    assert len(runs) == 1
+    assert {"on_trace", "on_checkpoint"} <= {keyword.arg for keyword in runs[0].keywords}

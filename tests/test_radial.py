@@ -17,7 +17,7 @@ import pacok as pk
 from pacok import radial
 from pacok.errors import InvalidCandidateError, OptimizationError, OutOfRangeError
 
-from conftest import mp_nonlocal, mp_potential, quadrature_nonlocal, radial_potential
+from conftest import dilated, mp_nonlocal, mp_potential, quadrature_nonlocal, radial_potential
 
 
 class TestRadialCandidate:
@@ -58,7 +58,7 @@ class TestRadialCandidate:
 
     def test_dilation_preserves_constraints(self):
         c = radial.liposome_candidate(5.0, 1.3, 3, 0.8, 1.1)
-        d = c.dilated(2.5)
+        d = dilated(c, 2.5)
         assert d.kind == "liposome"
         assert d.mass == pytest.approx(c.mass * 2.5**3, rel=1e-12)
 
@@ -451,7 +451,7 @@ class TestRescaledEnergy:
 
     @staticmethod
     def rescaled(c, rho, d):
-        return rho ** (c.n - d) * pk.liposome_energy(c.dilated(1.0 / rho), 1.0).total
+        return rho ** (c.n - d) * pk.liposome_energy(dilated(c, 1.0 / rho), 1.0).total
 
     @pytest.mark.parametrize("n,d,rho", [(2, 1, 0.3), (2, 2, 0.07), (3, 1, 0.5), (3, 3, 0.02)])
     def test_two_evaluation_paths_agree(self, n, d, rho):
@@ -464,7 +464,7 @@ class TestRescaledEnergy:
         m, c0 = 5.0, (2.0 / (8.0 / 9.0)) ** (1.0 / 3.0)
         gaps = []
         for rho in (3e-2, 1e-2, 3e-3):
-            cand = pk.optimize_liposome(m * rho ** (-2), 1.0, 1.0, 3).dilated(rho)
+            cand = dilated(pk.optimize_liposome(m * rho ** (-2), 1.0, 1.0, 3), rho)
             gaps.append(abs(self.rescaled(cand, rho, 1) / m - c0))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 5e-4
