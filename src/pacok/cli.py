@@ -1,6 +1,7 @@
 """Command-line surface: run | energy | radial | roots | fit | render | dipole.
 
-Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 IO/corrupt file.
+Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 IO/corrupt file,
+130 interrupted (SIGINT).
 All numbers print with 17 significant digits.
 """
 
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
     except (PacokError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

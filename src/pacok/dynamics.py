@@ -21,7 +21,10 @@ reports as :class:`DivergenceError`.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,13 @@ from .energy import (
     total_energy,
 )
 from .errors import DivergenceError, is_real, require_positive, whole_number
-from .grid import Field, _k_squared, apply_multiplier, poisson_solve, require_same_grid
+from .grid import (Field, GridSpec, _k_squared, apply_multiplier, poisson_solve,
+                   require_same_grid, spectrum_buffer)
+
+#: the field size from which a run steps on two threads when it may use two
+#: CPUs: two were slower at 128^2 (128 KiB), unresolved at 256^2 (512 KiB)
+#: and 48^3 (864 KiB), and faster at 64^3 (2 MiB) (README, "Threads")
+TWO_WORKER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,69 @@ class RunResult:
     residual: float
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+class _Workers:
+    """Runs the independent halves of a step's work: both on the calling
+    thread, in order, or, with ``two``, the second on one helper thread while
+    the first runs here.
+
+    The helper starts at the first call that needs it and stops when the
+    ``with`` block ends, so a run that takes no step starts no thread. It
+    runs each call in a copy of the caller's context, and so under the
+    caller's ``np.errstate``: numpy keeps that in a context variable, which
+    a thread does not inherit. numpy releases the interpreter lock inside
+    its ufuncs, reductions and FFTs, so the two threads drive both cores.
+    """
+
+    def __init__(self, two: bool = False):
+        self.two = two
+        self._helper = None
+
+    @classmethod
+    def for_grid(cls, grid: GridSpec) -> "_Workers":
+        """Two workers when a field takes at least :data:`TWO_WORKER_BYTES`
+        and the process may run on two CPUs; otherwise inline."""
+        return cls(8 * grid.size >= TWO_WORKER_BYTES and _cpu_count() >= 2)
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._helper is not None:
+            self._helper.shutdown()
+            self._helper = None
+
+    def pair(self, first, second) -> tuple:
+        """``(first(), second())``; returns or raises only when both are done."""
+        if not self.two:
+            return first(), second()
+        if self._helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # ~5 ms, paid by stepping runs only
+            self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pacok-step")
+        future = self._helper.submit(contextvars.copy_context().run, second)
+        try:
+            result = first()
+        finally:
+            other = future.result()  # the helper is done with the buffers
+        return result, other
+
+    def split(self, fn, slabs) -> list:
+        """``[fn(slab) for slab in slabs]``, the later half on the second worker."""
+        if not self.two:
+            return [fn(slab) for slab in slabs]
+        half = len(slabs) // 2
+        first, second = self.pair(lambda: [fn(slab) for slab in slabs[:half]],
+                                  lambda: [fn(slab) for slab in slabs[half:]])
+        return first + second
+
+
 class _Stepper:
     """One convex-splitting update on a fixed workspace.
 
@@ -93,19 +165,26 @@ class _Stepper:
     1/den_u and 1/den_v. A step costs six FFTs: two in the force's Poisson
     solve, then two for each implicit solve, which applies 1/den to
     u - dt*L1*F_u (or 1/den_v to v - dt*L2*F_v) in the output's memory by
-    :func:`~pacok.grid.apply_multiplier`. Every transform and inverse writes
-    into the force's ``spec`` or a field buffer, so a step allocates nothing
-    field-sized: a warm 32^3 step peaks at ~0.13 MB under tracemalloc,
-    numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB per field.
-    The stepper owns its workspace and writes only the outputs it is handed;
-    between steps the force's ``work`` buffers and ``spec`` are free scratch:
-    :func:`run` takes each step's change in ``work[0]`` and evaluates its
-    energies in ``work[0]``, ``work[1]`` and ``spec``.
+    :func:`~pacok.grid.apply_multiplier`. The u solve transforms into the
+    force's ``spec``, the v solve into ``spec_v``, a half-spectrum in the
+    memory of the force's ``work``, which is free by then; so the two solves
+    share nothing and ``workers`` (a :class:`_Workers`, inline by default)
+    runs them concurrently when it has two threads. It also splits the
+    force's slab passes and the slab pass that forms z - lam*F. Every
+    transform and inverse writes into a lent buffer, so a step allocates
+    nothing field-sized: a warm 32^3 step peaks at ~0.13 MB under
+    tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB
+    per field. The stepper owns its workspace and writes only the outputs it
+    is handed; between steps the force's ``work`` buffers and ``spec`` are
+    free scratch: :func:`run` takes each step's change in ``work[0]`` and
+    evaluates its energies in ``work[0]``, ``work[1]`` and ``spec``.
     """
 
-    def __init__(self, grid, params: PhysParams, cfg: StepperConfig):
+    def __init__(self, grid, params: PhysParams, cfg: StepperConfig, workers=None):
         self.grid = grid
         self.force = ExplicitForce(grid, params)
+        self.spec_v = spectrum_buffer(grid, self.force.work)
+        self.workers = _Workers() if workers is None else workers
         k2 = _k_squared(grid)
         eps = params.epsilon
         self.lam_u = cfg.dt * cfg.L1
@@ -116,21 +195,36 @@ class _Stepper:
     def advance(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
         """One step from (u, v); writes u+ into ``out_u`` and v+ into ``out_v``
         (which must not alias u, v or the workspace) and returns them."""
-        self.force(u, v, out_u, out_v)
-        spec = self.force.spec
-        for z, out, lam, inv_den in ((u, out_u, self.lam_u, self.inv_den_u),
-                                     (v, out_v, self.lam_v, self.inv_den_v)):
-            out *= -lam
-            out += z
-            apply_multiplier(self.grid, out, inv_den, spec=spec, out=out)
+        grid, workers = self.grid, self.workers
+        self.force(u, v, out_u, out_v, workers.split)
+
+        def explicit_part(s):  # z - lam*F, in F's memory
+            for z, out, lam in ((u, out_u, self.lam_u), (v, out_v, self.lam_v)):
+                block = out[s]
+                block *= -lam
+                block += z[s]
+
+        workers.split(explicit_part, grid.slabs)
+        workers.pair(
+            lambda: apply_multiplier(grid, out_u, self.inv_den_u, spec=self.force.spec, out=out_u),
+            lambda: apply_multiplier(grid, out_v, self.inv_den_v, spec=self.spec_v, out=out_v))
         return out_u, out_v
 
 
-def _max_change(new: np.ndarray, old: np.ndarray, work: np.ndarray) -> float:
-    """max|new - old| through ``work``; NaN or inf when either holds one."""
-    np.subtract(new, old, out=work)
-    np.abs(work, out=work)
-    return float(work.max())
+def _max_change(workers: _Workers, grid: GridSpec, new, old, work: np.ndarray) -> float:
+    """max(|u+ - u|, |v+ - v|) for new = (u+, v+) and old = (u, v), slab by
+    slab through ``work``; NaN or inf when a field holds one."""
+    def slab_max(s):
+        change = work[s]
+        maxima = []
+        for after, before in zip(new, old):
+            np.subtract(after[s], before[s], out=change)
+            np.abs(change, out=change)
+            maxima.append(change.max())
+        return np.maximum(*maxima)
+
+    # np.maximum, unlike max(), keeps a NaN of any slab
+    return float(functools.reduce(np.maximum, workers.split(slab_max, grid.slabs)))
 
 
 def run(
@@ -156,7 +250,8 @@ def run(
     multipliers (``spec``, |k|^2, 1/|k|^2, 1/den_u, 1/den_v). Energies are
     evaluated in the force's scratch; a checkpoint state after the input
     adds two while ``on_checkpoint`` holds it. Before the final energy the
-    loop frees all but the last pair and the scratch the energy uses.
+    loop frees all but the last pair, the force's scratch block (whose
+    first two fields the energy uses) and ``spec``.
 
     Ownership: no array a checkpoint state holds is written afterwards: the
     input, which is only read, is handed on as it is, and every later state
@@ -164,9 +259,18 @@ def run(
     input when no step was taken, and then the residual is inf).
     DivergenceError is raised when a step produces a non-finite sample or
     an energy overflows or is not finite.
+
+    Threads: when a field takes at least :data:`TWO_WORKER_BYTES` (64^3 does,
+    48^3 and 128^2 do not) and ``os.sched_getaffinity`` offers two CPUs, the
+    steps run on two threads, this one and a helper (:class:`_Workers`).
+    They split the slab passes of the force, of z - lam*F and of the
+    residual maxima, and run the u and v solves at once. The helper starts at the first step and stops before ``run``
+    returns or raises; the callbacks run on this thread. Every output is
+    bitwise that of the inline path.
     """
     grid = state.u.grid
-    stepper = _Stepper(grid, params, cfg)
+    workers = _Workers.for_grid(grid)
+    stepper = _Stepper(grid, params, cfg, workers)
     # u+ and v+ alternate between two buffer pairs; the input is only read
     pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
     work = stepper.force.work[0]
@@ -187,28 +291,28 @@ def run(
             raise DivergenceError(step, f"non-finite energy at step {step}")
         return energy
 
-    while done < cfg.max_steps:
-        nstep, time = state.step + done, state.time + done * cfg.dt
-        if on_trace is not None and nstep % cfg.trace_every == 0:
-            on_trace(nstep, time, _energy(nstep), residual)
-        if on_checkpoint is not None and nstep % cfg.checkpoint_every == 0:
-            # no step writes the input's arrays; later states are copied out
-            on_checkpoint(state if done == 0 else
-                          RunState(Field(grid, u.copy()), Field(grid, v.copy()), time, nstep))
-        u_new, v_new = stepper.advance(u, v, *pairs[done % 2])
-        change_u = _max_change(u_new, u, work)
-        change_v = _max_change(v_new, v, work)
-        if not (math.isfinite(change_u) and math.isfinite(change_v)):
-            raise DivergenceError(nstep + 1)
-        residual = max(change_u, change_v) / cfg.dt
-        u, v = u_new, v_new
-        done += 1
-        if check_stationary and residual < cfg.stop_tol:
-            reason = "stationary"
-            break
+    with workers:
+        while done < cfg.max_steps:
+            nstep, time = state.step + done, state.time + done * cfg.dt
+            if on_trace is not None and nstep % cfg.trace_every == 0:
+                on_trace(nstep, time, _energy(nstep), residual)
+            if on_checkpoint is not None and nstep % cfg.checkpoint_every == 0:
+                # no step writes the input's arrays; later states are copied out
+                on_checkpoint(state if done == 0 else
+                              RunState(Field(grid, u.copy()), Field(grid, v.copy()), time, nstep))
+            u_new, v_new = stepper.advance(u, v, *pairs[done % 2])
+            change = _max_change(workers, grid, (u_new, v_new), (u, v), work)
+            if not math.isfinite(change):
+                raise DivergenceError(nstep + 1)
+            residual = change / cfg.dt
+            u, v = u_new, v_new
+            done += 1
+            if check_stationary and residual < cfg.stop_tol:
+                reason = "stationary"
+                break
 
     # the final energy needs only the state and the buffers lent to it: free
-    # the other pair, the force's third scratch field and the multipliers
+    # the other pair and the multipliers
     del stepper, pairs
     nstep, time = state.step + done, state.time + done * cfg.dt
     energy = _energy(nstep)

@@ -208,6 +208,11 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> Energy
                                     params.gamma, masses)
 
 
+def _each_slab(fn, slabs) -> list:
+    """``[fn(slab) for slab in slabs]``: the inline way to walk a field's slabs."""
+    return [fn(slab) for slab in slabs]
+
+
 class ExplicitForce:
     """The explicit part (F_u, F_v) of the variational derivatives.
 
@@ -222,16 +227,24 @@ class ExplicitForce:
 
     The pointwise work is fused. For the cubic f, the terms f, f' and W_u
     share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
-    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call costs two FFTs, the
-    Poisson solve: :func:`~pacok.grid.apply_multiplier` applies 1/|k|^2,
-    which the instance keeps, in phi's memory. It writes through ``out=``
-    into the outputs and into a workspace allocated here once: three field
-    buffers ``work`` = (s_u, s_v, phi) and one half-spectrum ``spec``. The
-    cubic f(u) and f(v) are formed in the
-    outputs, the charge density, phi and then the overlap share one buffer,
-    and s_v is scratch once its last product is taken; so a call allocates
-    nothing field-sized. The instance owns the workspace; between calls the caller
-    may use ``work`` and ``spec`` as scratch.
+    and W_v = 27*(overlap + v - clip(v, 0, 1)). It walks the grid's
+    :attr:`~pacok.grid.GridSpec.slabs` in two passes, so that each slab's
+    ufunc calls stay in cache: the first forms s, f(u), f(v) and the charge
+    density; then come the masses, whole-array sums, and the Poisson solve,
+    two FFTs: :func:`~pacok.grid.apply_multiplier` applies 1/|k|^2, which
+    the instance keeps, in phi's memory; the second pass forms F. Every
+    element sees the same operations in the same order whichever slabs it
+    falls in, so the slabs leave the result's bits alone, and the passes may
+    visit them in any order or concurrently.
+
+    A call writes through ``out=`` into the outputs and into a workspace
+    allocated here once: three field buffers ``work`` = (s_u, s_v, phi), one
+    contiguous (3, *shape) array, and one half-spectrum ``spec``. The cubic
+    f(u) and f(v) are formed in the outputs, the charge density, phi and
+    then the overlap share one buffer, and s_v is scratch once its last
+    product is taken; so a call allocates nothing field-sized. The instance
+    owns the workspace; between calls the caller may use ``work`` and
+    ``spec`` as scratch.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams):
@@ -239,67 +252,82 @@ class ExplicitForce:
         self.params = params
         self.cubic = params.interpolant == "cubic"
         self.inv_k2 = _inv_k_squared(grid)
-        self.work = tuple(np.empty(grid.shape) for _ in range(3))
+        self.work = np.empty((3, *grid.shape))
         self.spec = spectrum_buffer(grid)
 
-    def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
-        """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only."""
+    def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray,
+                 split=_each_slab):
+        """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only.
+
+        ``split(fn, slabs)`` returns ``[fn(slab) for slab in slabs]``, in
+        whatever order or concurrency it likes; it returns only when every
+        call has.
+        """
         p, grid = self.params, self.grid
         eps, zeta = p.epsilon, p.zeta
         s_u, s_v, phi = self.work
-        np.multiply(u, u, out=s_u)
-        np.subtract(u, s_u, out=s_u)
-        if self.cubic:
-            np.multiply(v, v, out=s_v)
-            np.subtract(v, s_v, out=s_v)
-            fu, fv = out_u, out_v
-            for z, s, f in ((u, s_u, fu), (v, s_v, fv)):
-                np.multiply(s, 2.0, out=f)
-                f += z
-                f *= z
-            slope = 6.0
-        else:
-            fu, fv = u, v
-            slope = 1.0
+        cubic = self.cubic
+        fu, fv = (out_u, out_v) if cubic else (u, v)
+        slope = 6.0 if cubic else 1.0
+
+        def densities(s):
+            us, su, fus, fvs, ph = u[s], s_u[s], fu[s], fv[s], phi[s]
+            np.multiply(us, us, out=su)
+            np.subtract(us, su, out=su)
+            if cubic:
+                vs, sv = v[s], s_v[s]
+                np.multiply(vs, vs, out=sv)
+                np.subtract(vs, sv, out=sv)
+                for z, sz, f in ((us, su, fus), (vs, sv, fvs)):
+                    np.multiply(sz, 2.0, out=f)
+                    f += z
+                    f *= z
+            # the charge density f(u) - f(v)/zeta, in phi's memory
+            np.divide(fvs, zeta, out=ph)
+            np.subtract(fus, ph, out=ph)
+
+        split(densities, grid.slabs)
         mass_u = integrate_array(grid, fu)
         mass_v = integrate_array(grid, fv)
-
-        # phi from the charge density f(u) - f(v)/zeta, formed in phi's memory
-        np.divide(fv, zeta, out=phi)
-        np.subtract(fu, phi, out=phi)
         apply_multiplier(grid, phi, self.inv_k2, spec=self.spec, out=phi)
+        penalty_u = slope * p.K1 * (p.mass - mass_u)
+        penalty_v = slope * p.K2 * (zeta * p.mass - mass_v)
 
-        # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
-        np.multiply(phi, slope * p.gamma, out=out_u)
-        out_u -= slope * p.K1 * (p.mass - mass_u)
-        np.multiply(phi, -slope * p.gamma / zeta, out=out_v)
-        out_v -= slope * p.K2 * (zeta * p.mass - mass_v)
-        if self.cubic:
-            out_u *= s_u
-            out_v *= s_v
+        def force(s):
+            us, vs, su, sv, ph, ou, ov = u[s], v[s], s_u[s], s_v[s], phi[s], out_u[s], out_v[s]
+            # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
+            np.multiply(ph, slope * p.gamma, out=ou)
+            ou -= penalty_u
+            np.multiply(ph, -slope * p.gamma / zeta, out=ov)
+            ov -= penalty_v
+            if cubic:
+                ou *= su
+                ov *= sv
 
-        # well: overlap = max(u + v - 1, 0) into phi; s_v is scratch from here on
-        overlap, tmp = phi, s_v
-        np.add(u, v, out=overlap)
-        overlap -= 1.0
-        np.maximum(overlap, 0.0, out=overlap)
-        # (W_v - A_VV v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - A_VV) v)/eps
-        np.clip(v, 0.0, 1.0, out=tmp)
-        np.subtract(overlap, tmp, out=tmp)
-        tmp *= 27.0 / eps
-        out_v += tmp
-        np.multiply(v, (27.0 - A_VV) / eps, out=tmp)
-        out_v += tmp
-        # (W_u - A_UU u)/eps = (36 s (1 - 2u) + 27 overlap - A_UU u)/eps
-        np.multiply(u, -2.0, out=tmp)
-        tmp += 1.0
-        tmp *= s_u
-        tmp *= 36.0 / eps
-        out_u += tmp
-        overlap *= 27.0 / eps
-        out_u += overlap
-        np.multiply(u, A_UU / eps, out=tmp)
-        out_u -= tmp
+            # well: overlap = max(u + v - 1, 0) into phi; s_v is scratch from here on
+            overlap, tmp = ph, sv
+            np.add(us, vs, out=overlap)
+            overlap -= 1.0
+            np.maximum(overlap, 0.0, out=overlap)
+            # (W_v - A_VV v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - A_VV) v)/eps
+            np.clip(vs, 0.0, 1.0, out=tmp)
+            np.subtract(overlap, tmp, out=tmp)
+            tmp *= 27.0 / eps
+            ov += tmp
+            np.multiply(vs, (27.0 - A_VV) / eps, out=tmp)
+            ov += tmp
+            # (W_u - A_UU u)/eps = (36 s (1 - 2u) + 27 overlap - A_UU u)/eps
+            np.multiply(us, -2.0, out=tmp)
+            tmp += 1.0
+            tmp *= su
+            tmp *= 36.0 / eps
+            ou += tmp
+            overlap *= 27.0 / eps
+            ou += overlap
+            np.multiply(us, A_UU / eps, out=tmp)
+            ou -= tmp
+
+        split(force, grid.slabs)
 
 
 def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Field, Field]:

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -49,6 +52,18 @@ def _overflow_repro(tmp_path):
     data["stepper"]["trace_every"] = 1
     data["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _run3d(tmp_path, **stepper):
+    """``configs/run3d.json`` (64^3: 2 MiB fields, which a run steps on two
+    threads when it may use two CPUs) with these stepper settings, written
+    under ``tmp_path``."""
+    data = json.loads((CONFIGS / "run3d.json").read_text())
+    data["stepper"].update(stepper)
+    data["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "run3d.json"
     path.write_text(json.dumps(data))
     return path
 
@@ -410,6 +425,52 @@ class TestRunAndFriends:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("divergence:")
+
+    def test_two_worker_divergence_prints_only_its_message(self, tmp_path, capsys, monkeypatch):
+        # the fields overflow inside the force, half of it on the helper thread,
+        # which must run under the run's errstate
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = _run3d(tmp_path, dt=2e-3, max_steps=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("divergence:") and err.count("\n") == 1
+
+    def test_interrupt_exits_130_and_stops_the_helper(self, tmp_path, capsys, monkeypatch):
+        def append_trace(path, step, *row):
+            if step == 2:
+                raise KeyboardInterrupt
+            original(path, step, *row)
+
+        original = storage.append_trace
+        monkeypatch.setattr(storage, "append_trace", append_trace)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = _run3d(tmp_path, max_steps=5, trace_every=1)
+        before = threading.active_count()
+        assert main(["run", "--config", str(path)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert threading.active_count() == before
+
+    def test_sigint_exits_130_with_one_line(self, tmp_path):
+        path = _run3d(tmp_path, max_steps=10_000, trace_every=1)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "pacok", "run", "--config", str(path)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        trace = tmp_path / "out" / "trace.csv"
+        try:
+            deadline = time.monotonic() + 60
+            # the header and two rows: the run is stepping
+            while time.monotonic() < deadline and proc.poll() is None and (
+                    not trace.exists() or len(trace.read_text().splitlines()) < 3):
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, err
+        assert err == "interrupted\n" and out == ""
 
     @pytest.mark.parametrize("edit,named", [
         (lambda data: data["params"].update(gama=1500.0), "'gama'"),

@@ -1,5 +1,9 @@
 """Convex splitting, step/run control, stability, screening diagnostics."""
 
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +11,10 @@ import pytest
 
 import pacok as pk
 from pacok import dynamics, initcond
-from pacok.dynamics import _Stepper
-from pacok.energy import A_UU, A_VV, interpolant_pair
+from pacok.dynamics import _Stepper, _Workers
+from pacok.energy import A_UU, A_VV, ExplicitForce, interpolant_pair
 from pacok.errors import DivergenceError
-from pacok.grid import _k_squared, integrate_array
+from pacok.grid import _inv_k_squared, _k_squared, apply_multiplier, integrate_array
 
 from conftest import peak_bytes, potential_W, potential_W_grad
 
@@ -339,6 +343,191 @@ class TestWorkspaceStepper:
             pk.run(state, PARAMS, cfg)
         assert err.value.step == 13
         assert len(steps) == 3
+
+
+def _whole_array_force(grid, params, u, v):
+    """(F_u, F_v) by the fused operations of ``ExplicitForce``, each over
+    whole fields: the reference that its slab passes must match bit for bit."""
+    p, eps, zeta = params, params.epsilon, params.zeta
+    s_u, s_v, phi = (np.empty(grid.shape) for _ in range(3))
+    out_u, out_v = np.empty(grid.shape), np.empty(grid.shape)
+    np.multiply(u, u, out=s_u)
+    np.subtract(u, s_u, out=s_u)
+    if p.interpolant == "cubic":
+        np.multiply(v, v, out=s_v)
+        np.subtract(v, s_v, out=s_v)
+        fu, fv = out_u, out_v
+        for z, s, f in ((u, s_u, fu), (v, s_v, fv)):
+            np.multiply(s, 2.0, out=f)
+            f += z
+            f *= z
+        slope = 6.0
+    else:
+        fu, fv = u, v
+        slope = 1.0
+    mass_u, mass_v = integrate_array(grid, fu), integrate_array(grid, fv)
+    np.divide(fv, zeta, out=phi)
+    np.subtract(fu, phi, out=phi)
+    apply_multiplier(grid, phi, _inv_k_squared(grid), out=phi)
+    np.multiply(phi, slope * p.gamma, out=out_u)
+    out_u -= slope * p.K1 * (p.mass - mass_u)
+    np.multiply(phi, -slope * p.gamma / zeta, out=out_v)
+    out_v -= slope * p.K2 * (zeta * p.mass - mass_v)
+    if p.interpolant == "cubic":
+        out_u *= s_u
+        out_v *= s_v
+    overlap, tmp = phi, s_v
+    np.add(u, v, out=overlap)
+    overlap -= 1.0
+    np.maximum(overlap, 0.0, out=overlap)
+    np.clip(v, 0.0, 1.0, out=tmp)
+    np.subtract(overlap, tmp, out=tmp)
+    tmp *= 27.0 / eps
+    out_v += tmp
+    np.multiply(v, (27.0 - A_VV) / eps, out=tmp)
+    out_v += tmp
+    np.multiply(u, -2.0, out=tmp)
+    tmp += 1.0
+    tmp *= s_u
+    tmp *= 36.0 / eps
+    out_u += tmp
+    overlap *= 27.0 / eps
+    out_u += overlap
+    np.multiply(u, A_UU / eps, out=tmp)
+    out_u -= tmp
+    return out_u, out_v
+
+
+GRID64 = pk.GridSpec((64, 64, 64), (2.0, 2.0, 2.0))  # 2 MiB fields: eight slabs, two workers
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs ``os.sched_getaffinity`` offers the run, and
+    returns the list of threads started while the test runs."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+    def offer(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        return started
+
+    return offer
+
+
+class TestTwoWorkers:
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    def test_steps_are_bitwise_the_inline_steps(self, interpolant):
+        state, params = _noisy_shell(GRID64, interpolant)
+        finals = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock often
+        try:
+            for two in (False, True):
+                with _Workers(two) as workers:
+                    stepper = _Stepper(GRID64, params, CFG, workers)
+                    buffers = [(np.empty(GRID64.shape), np.empty(GRID64.shape)) for _ in range(2)]
+                    new = (state.u.values, state.v.values)
+                    for k in range(5):
+                        new = stepper.advance(*new, *buffers[k % 2])
+                    assert (workers._helper is not None) == two
+                finals.append(new)
+        finally:
+            sys.setswitchinterval(interval)
+        (u1, v1), (u2, v2) = finals
+        assert np.max(np.abs(u1 - state.u.values)) > 1e-6  # the state moved
+        assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    def test_force_and_derivatives_are_bitwise_the_whole_array_force(self, interpolant):
+        state, params = _noisy_shell(GRID64, interpolant)
+        u, v = state.u.values, state.v.values
+        reference = _whole_array_force(GRID64, params, u, v)
+        force = ExplicitForce(GRID64, params)
+        for two in (False, True):
+            out = (np.empty(GRID64.shape), np.empty(GRID64.shape))
+            with _Workers(two) as workers:
+                force(u, v, *out, workers.split)
+            assert np.array_equal(out[0], reference[0]) and np.array_equal(out[1], reference[1])
+        du, dv = pk.energy.variational_derivatives(state.u, state.v, params)
+        lap_u, lap_v = pk.laplacian(state.u).values, pk.laplacian(state.v).values
+        eps = params.epsilon
+        assert np.array_equal(du.values, reference[0] + (A_UU / eps * u - eps * lap_u))
+        assert np.array_equal(dv.values, reference[1] + (A_VV / eps * v - 2.0 * params.v_reg * lap_v))
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["inline", "two-workers"])
+    def test_nan_in_the_last_slab_raises_at_its_step(self, monkeypatch, cpus, count):
+        # the last slab is in the half the helper thread takes
+        original = _Stepper.advance
+        steps = []
+
+        def poisoned(self, u, v, out_u=None, out_v=None):
+            out = original(self, u, v, out_u, out_v)
+            steps.append(None)
+            if len(steps) == 3:
+                out[1][-1, -1, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(_Stepper, "advance", poisoned)
+        started = cpus(count)
+        base, params = _noisy_shell(GRID64, "cubic")
+        state = pk.RunState(u=base.u, v=base.v, time=10 * CFG.dt, step=10)
+        with pytest.raises(DivergenceError) as err:
+            pk.run(state, params, replace(CFG, max_steps=8, stop_tol=np.inf))
+        assert err.value.step == 13
+        assert len(steps) == 3
+        assert len(started) == count - 1
+
+    @pytest.mark.parametrize("points,two", [((128, 128), False), ((256, 256), False),
+                                            ((48, 48, 48), False), ((64, 64, 64), True)])
+    def test_two_workers_from_the_measured_field_size(self, cpus, points, two):
+        grid = pk.GridSpec(points, (1.0,) * len(points))
+        cpus(2)
+        assert _Workers.for_grid(grid).two == two
+        cpus(1)
+        assert not _Workers.for_grid(grid).two
+
+    @pytest.mark.parametrize("count,max_steps,threads", [(1, 2, 0), (2, 2, 1), (2, 0, 0)],
+                             ids=["one-cpu", "two-cpus", "zero-steps"])
+    def test_threads_started(self, cpus, count, max_steps, threads):
+        state, params = _noisy_shell(GRID64, "cubic")
+        before = threading.active_count()
+        started = cpus(count)
+        pk.run(state, params, replace(CFG, max_steps=max_steps, stop_tol=np.inf))
+        assert len(started) == threads
+        assert threading.active_count() == before
+
+    def test_helper_runs_under_the_callers_errstate(self):
+        # numpy keeps errstate in a context variable, which threads do not inherit
+        def overflow():
+            return np.multiply(np.full(4, 1e300), 1e300)
+
+        with _Workers(two=True) as workers, np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                workers.pair(lambda: None, overflow)
+            with np.errstate(over="ignore"):
+                assert np.isinf(workers.pair(lambda: None, overflow)[1]).all()
+
+    def test_pair_waits_for_the_helper_when_the_first_call_raises(self):
+        finished = []
+
+        def fail():
+            raise ValueError("first")
+
+        def slow():
+            time.sleep(0.05)
+            finished.append("second")
+
+        with _Workers(two=True) as workers:
+            with pytest.raises(ValueError, match="first"):
+                workers.pair(fail, slow)
+            assert finished == ["second"]  # no buffer is written after pair() raises
 
 
 class TestRun:

@@ -52,6 +52,18 @@ class TestGridSpec:
         assert grid.cell_volume == float(np.prod(grid.spacing))
         assert pk.GridSpec(grid.points, grid.lengths) == grid  # the cache is no field
 
+    @pytest.mark.parametrize("points,planes", [
+        ((64, 64, 64), [8] * 8),  # 2 MiB: eight slabs of 256 KiB
+        ((48, 48, 48), [12] * 4),  # 864 KiB: four of 216 KiB
+        ((128, 128), [128]),  # 128 KiB: one slab
+        ((100, 100, 10), [2, 3, 2, 3]),  # 781 KiB: as equal as whole planes allow
+        ((512, 512, 4), [1] * 4),  # a 2 MiB plane: one plane each
+    ])
+    def test_slabs_cut_axis_0_into_runs_of_whole_planes(self, points, planes):
+        slabs = pk.GridSpec(points, (1.0,) * len(points)).slabs
+        assert [s.stop - s.start for s in slabs] == planes
+        assert slabs[0].start == 0 and all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+
     def test_size_is_exact(self):
         # the product 2**64 wraps to 0 in int64 arithmetic
         assert pk.GridSpec((2**22, 2**22, 2**20), (1.0, 1.0, 1.0)).size == 2**64
@@ -275,16 +287,22 @@ class TestLentBuffers:
                              ids=["2d", "3d"])
     def test_bitwise_equal_to_standalone_operators(self, rng, grid):
         f = pk.Field(grid, rng.normal(size=grid.shape))
-        spec, out = spectrum_buffer(grid), np.empty(grid.shape)
+        out, block = np.empty(grid.shape), np.empty((3, *grid.shape))
+        # the v solve transforms into a half-spectrum laid over the force's scratch block
+        laid = spectrum_buffer(grid, block)
+        assert laid.shape == grid.spectrum_shape and laid.dtype == np.complex128
+        assert np.shares_memory(laid, block)
         phases = [np.exp(1j * k * t) for k, t in zip(_wavenumbers(grid), (0.137, -0.29, 0.41))]
-        for factors, expected in (((_inv_k_squared(grid),), pk.poisson_solve(f)),
-                                  ((-_k_squared(grid),), pk.laplacian(f)),
-                                  (phases, translate(f, (0.137, -0.29, 0.41)[:grid.dim]))):
-            assert apply_multiplier(grid, f.values, *factors, spec=spec, out=out) is out
-            assert out.tobytes() == expected.values.tobytes()
-            in_place = f.values.copy()  # out is values: the stepper's and the force's form
-            assert apply_multiplier(grid, in_place, *factors, spec=spec, out=in_place) is in_place
-            assert in_place.tobytes() == expected.values.tobytes()
+        for spec in (laid, spectrum_buffer(grid)):
+            for factors, expected in (((_inv_k_squared(grid),), pk.poisson_solve(f)),
+                                      ((-_k_squared(grid),), pk.laplacian(f)),
+                                      (phases, translate(f, (0.137, -0.29, 0.41)[:grid.dim]))):
+                assert apply_multiplier(grid, f.values, *factors, spec=spec, out=out) is out
+                assert out.tobytes() == expected.values.tobytes()
+                in_place = f.values.copy()  # out is values: the stepper's and the force's form
+                assert apply_multiplier(grid, in_place, *factors, spec=spec,
+                                        out=in_place) is in_place
+                assert in_place.tobytes() == expected.values.tobytes()
         for multiplier in (_k_squared(grid), _inv_k_squared(grid)):
             fresh = quadratic_form(grid, f.values, multiplier)
             assert quadratic_form(grid, f.values, multiplier, spec, out) == fresh

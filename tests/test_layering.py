@@ -1,8 +1,12 @@
-"""Layering: the Fourier basis is defined in grid.py alone.
+"""Layering: the Fourier basis is defined in grid.py alone, and threads are
+started in dynamics.py alone.
 
 Every other module sees only Fourier multipliers and the grid functions that
 apply them, so a change of basis (say, to cosine transforms for mirror
-symmetry) touches one module. The checks read the source with ``ast``.
+symmetry) touches one module. The checks read the source with ``ast``. The
+run loop owns the one helper thread a step may use, and ``import pacok``
+leaves the thread pool's module unimported, so that a run that takes no
+step pays nothing for it.
 
 Guards for deletions and renames ride along: no module imports a name it
 never uses, every ``pk.<name>...`` chain that the benchmark's workloads call
@@ -12,7 +16,10 @@ benchmark's tracer wraps.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +105,25 @@ def tracer_targets(tree: ast.Module) -> set[str]:
     return targets
 
 
+# modules through which Python code starts threads or processes
+CONCURRENCY_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+def concurrency_imports(tree: ast.Module) -> set[str]:
+    """Modules of :data:`CONCURRENCY_MODULES` (or their submodules) that the
+    module imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is not None and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        names.update(name for name in modules if name.split(".")[0] in CONCURRENCY_MODULES)
+    return names
+
+
 def spectrum_reshapes(tree: ast.Module) -> list[int]:
     """Lines of ``reshape`` calls whose arguments mention ``spectrum_shape``."""
     lines = []
@@ -139,6 +165,29 @@ def test_fft_detector_sees_each_form(source, expected):
 def test_reshape_detector_sees_a_half_spectrum_view():
     source = "square = a.reshape(-1)[:half].reshape(grid.spectrum_shape)\nb = a.reshape(grid.shape)"
     assert spectrum_reshapes(ast.parse(source)) == [1]
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "dynamics.py"])
+def test_only_dynamics_creates_threads(name):
+    assert concurrency_imports(ast.parse((SRC / name).read_text())) == set()
+
+
+def test_concurrency_import_detector_sees_each_form():
+    source = ("import threading\nimport concurrent.futures as cf\nfrom multiprocessing import Pool\n"
+              "def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
+              "import numpy.threading_free\nfrom . import threading_helpers\n")
+    assert concurrency_imports(ast.parse(source)) == {
+        "threading", "concurrent.futures", "multiprocessing"}
+
+
+def test_import_pacok_leaves_the_thread_pool_unimported():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, pacok; "
+                           "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", [name for name in MODULES if name != "__init__.py"])
