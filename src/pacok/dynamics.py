@@ -42,9 +42,16 @@ from .errors import DivergenceError, is_real, require_positive, whole_number
 from .grid import (Field, GridSpec, _k_squared, apply_multiplier, poisson_solve,
                    require_same_grid, spectrum_buffer)
 
+#: bytes of one field in a slab: the seven fields a pointwise pass of the
+#: force touches then take 1.75 MiB, within a 2 MiB L2
+SLAB_BYTES = 256 * 1024
+
 #: the field size from which a run steps on two threads when it may use two
-#: CPUs: two were slower at 128^2 (128 KiB), unresolved at 256^2 (512 KiB)
-#: and 48^3 (864 KiB), and faster at 64^3 (2 MiB) (README, "Threads")
+#: CPUs. In the sweep of README "Threads" two were slower at 128^2 (128 KiB),
+#: faster in 4 of 6 pairs at 256^2 (512 KiB), and faster at 48^3 (864 KiB:
+#: 13.6 against 16.9 ms per step, 6 of 6 pairs) and 64^3 (2 MiB). 48^3 stays
+#: inline because an energy every 20 steps made two workers slower there:
+#: 12.5-14.1 against 10.6-11.6 ms per step.
 TWO_WORKER_BYTES = 1 << 20
 
 
@@ -103,9 +110,14 @@ def _cpu_count() -> int:
 
 
 class _Workers:
-    """Runs the independent halves of a step's work: both on the calling
-    thread, in order, or, with ``two``, the second on one helper thread while
-    the first runs here.
+    """Walks a field's slabs and runs the independent halves of a step's
+    work: both on the calling thread, in order, or, with ``two``, the second
+    on one helper thread while the first runs here.
+
+    The slabs are axis-0 slices that cut a float64 field into as few runs of
+    whole planes as keep each within :data:`SLAB_BYTES`, as equal as the
+    plane count allows, one plane each when a plane alone is larger: the
+    few fields one pass touches then stay in a core's cache.
 
     The helper starts at the first call that needs it and stops when the
     ``with`` block ends, so a run that takes no step starts no thread. It
@@ -115,7 +127,11 @@ class _Workers:
     its ufuncs, reductions and FFTs, so the two threads drive both cores.
     """
 
-    def __init__(self, two: bool = False):
+    def __init__(self, grid: GridSpec, two: bool = False):
+        planes = grid.shape[0]
+        count = min(planes, -(-8 * grid.size // SLAB_BYTES))
+        bounds = [planes * i // count for i in range(count + 1)]
+        self.slabs = tuple(slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
         self.two = two
         self._helper = None
 
@@ -123,7 +139,7 @@ class _Workers:
     def for_grid(cls, grid: GridSpec) -> "_Workers":
         """Two workers when a field takes at least :data:`TWO_WORKER_BYTES`
         and the process may run on two CPUs; otherwise inline."""
-        return cls(8 * grid.size >= TWO_WORKER_BYTES and _cpu_count() >= 2)
+        return cls(grid, 8 * grid.size >= TWO_WORKER_BYTES and _cpu_count() >= 2)
 
     def __enter__(self) -> "_Workers":
         return self
@@ -147,8 +163,9 @@ class _Workers:
             other = future.result()  # the helper is done with the buffers
         return result, other
 
-    def split(self, fn, slabs) -> list:
-        """``[fn(slab) for slab in slabs]``, the later half on the second worker."""
+    def split(self, fn) -> list:
+        """``[fn(slab) for slab in self.slabs]``, the later half on the second worker."""
+        slabs = self.slabs
         if not self.two:
             return [fn(slab) for slab in slabs]
         half = len(slabs) // 2
@@ -158,44 +175,49 @@ class _Workers:
 
 
 class _Stepper:
-    """One convex-splitting update on a fixed workspace.
+    """A run's state and the convex-splitting step that advances it.
 
-    The workspace is allocated once per run: the force kernel's three field
-    buffers and its half-spectrum buffer, plus the Fourier multipliers
-    1/den_u and 1/den_v. A step costs six FFTs: two in the force's Poisson
-    solve, then two for each implicit solve, which applies 1/den to
-    u - dt*L1*F_u (or 1/den_v to v - dt*L2*F_v) in the output's memory by
-    :func:`~pacok.grid.apply_multiplier`. The u solve transforms into the
-    force's ``spec``, the v solve into ``spec_v``, a half-spectrum in the
-    memory of the force's ``work``, which is free by then; so the two solves
-    share nothing and ``workers`` (a :class:`_Workers`, inline by default)
-    runs them concurrently when it has two threads. It also splits the
-    force's slab passes and the slab pass that forms z - lam*F. Every
-    transform and inverse writes into a lent buffer, so a step allocates
-    nothing field-sized: a warm 32^3 step peaks at ~0.13 MB under
-    tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB
-    per field. The stepper owns its workspace and writes only the outputs it
-    is handed; between steps the force's ``work`` buffers and ``spec`` are
-    free scratch: :func:`run` takes each step's change in ``work[0]`` and
-    evaluates its energies in ``work[0]``, ``work[1]`` and ``spec``.
+    It owns a run's arrays: the current (u, v), which starts as the input's
+    arrays and is only read; two buffer pairs that u+ and v+ alternate
+    between; the explicit force, with its scratch fields ``work`` and
+    half-spectrum ``spec``; and the Fourier multipliers 1/den_u and 1/den_v.
+    The state before the last step (the input, after the first) stays
+    intact until the next step overwrites it.
+
+    :meth:`advance` costs six FFTs: two in the force's Poisson solve, then
+    two for each implicit solve, which applies 1/den to u - dt*L1*F_u (or
+    1/den_v to v - dt*L2*F_v) in the output's memory. The u solve transforms
+    into ``spec``, the v solve into ``spec_v``, a half-spectrum laid over
+    ``work``, which is free by then; so ``workers`` (a :class:`_Workers`,
+    inline by default) may run the two solves at once, and it walks the
+    slabs of the force, of z - lam*F and of the change. :meth:`energy`
+    evaluates in ``work`` and ``spec``. Neither allocates anything
+    field-sized: a warm 32^3 step peaks at ~0.13 MB under tracemalloc,
+    numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB per field.
     """
 
-    def __init__(self, grid, params: PhysParams, cfg: StepperConfig, workers=None):
-        self.grid = grid
+    def __init__(self, state: RunState, params: PhysParams, cfg: StepperConfig, workers=None):
+        grid = self.grid = state.u.grid
+        self.params = params
+        self.u, self.v = state.u.values, state.v.values
         self.force = ExplicitForce(grid, params)
         self.spec_v = spectrum_buffer(grid, self.force.work)
-        self.workers = _Workers() if workers is None else workers
+        self.workers = _Workers(grid) if workers is None else workers
         k2 = _k_squared(grid)
         eps = params.epsilon
         self.lam_u = cfg.dt * cfg.L1
         self.lam_v = cfg.dt * cfg.L2
         self.inv_den_u = 1.0 / (1.0 + self.lam_u * (eps * k2 + A_UU / eps))
         self.inv_den_v = 1.0 / (1.0 + self.lam_v * (2.0 * params.v_reg * k2 + A_VV / eps))
+        # after the multipliers, whose temporaries would otherwise raise the peak
+        self._pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
 
-    def advance(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray):
-        """One step from (u, v); writes u+ into ``out_u`` and v+ into ``out_v``
-        (which must not alias u, v or the workspace) and returns them."""
+    def advance(self) -> float:
+        """One step: (u, v) moves to (u+, v+); returns max(|u+ - u|, |v+ - v|),
+        NaN or inf when a field holds one."""
         grid, workers = self.grid, self.workers
+        u, v = self.u, self.v
+        out_u, out_v = self._pairs[0]
         self.force(u, v, out_u, out_v, workers.split)
 
         def explicit_part(s):  # z - lam*F, in F's memory
@@ -204,27 +226,32 @@ class _Stepper:
                 block *= -lam
                 block += z[s]
 
-        workers.split(explicit_part, grid.slabs)
+        workers.split(explicit_part)
         workers.pair(
             lambda: apply_multiplier(grid, out_u, self.inv_den_u, spec=self.force.spec, out=out_u),
             lambda: apply_multiplier(grid, out_v, self.inv_den_v, spec=self.spec_v, out=out_v))
-        return out_u, out_v
+        work = self.force.work[0]  # free again once the solves are done
 
+        def slab_max(s):
+            change = work[s]
+            maxima = []
+            for after, before in ((out_u, u), (out_v, v)):
+                np.subtract(after[s], before[s], out=change)
+                np.abs(change, out=change)
+                maxima.append(change.max())
+            return np.maximum(*maxima)
 
-def _max_change(workers: _Workers, grid: GridSpec, new, old, work: np.ndarray) -> float:
-    """max(|u+ - u|, |v+ - v|) for new = (u+, v+) and old = (u, v), slab by
-    slab through ``work``; NaN or inf when a field holds one."""
-    def slab_max(s):
-        change = work[s]
-        maxima = []
-        for after, before in zip(new, old):
-            np.subtract(after[s], before[s], out=change)
-            np.abs(change, out=change)
-            maxima.append(change.max())
-        return np.maximum(*maxima)
+        maxima = workers.split(slab_max)
+        self._pairs.reverse()
+        self.u, self.v = out_u, out_v
+        # np.maximum, unlike max(), keeps a NaN of any slab
+        return float(functools.reduce(np.maximum, maxima))
 
-    # np.maximum, unlike max(), keeps a NaN of any slab
-    return float(functools.reduce(np.maximum, workers.split(slab_max, grid.slabs)))
+    def energy(self) -> EnergyBreakdown:
+        """The energy of (u, v), evaluated in the force's scratch."""
+        a, b, _ = self.force.work
+        return total_energy(Field(self.grid, self.u), Field(self.grid, self.v), self.params,
+                            (a, b, self.force.spec))
 
 
 def run(
@@ -244,14 +271,11 @@ def run(
     at the input), and ``on_checkpoint(state)`` the state. The final state
     is traced whatever its step, and its energy is ``result.energy``.
 
-    Memory: besides the input, the loop holds about ten field-sized arrays:
-    two buffer pairs that u+ and v+ alternate between, the stepper's three
-    scratch fields, and about three fields' worth of half-spectrum and
-    multipliers (``spec``, |k|^2, 1/|k|^2, 1/den_u, 1/den_v). Energies are
-    evaluated in the force's scratch; a checkpoint state after the input
-    adds two while ``on_checkpoint`` holds it. Before the final energy the
-    loop frees all but the last pair, the force's scratch block (whose
-    first two fields the energy uses) and ``spec``.
+    The arrays, the step and the threads are a :class:`_Stepper`'s; the
+    loop keeps the cadence, the callbacks, the stop rule and the divergence
+    rule. Besides the input it holds about ten fields (README, "Memory of a
+    run"), and a checkpoint state after the input adds two while
+    ``on_checkpoint`` holds it.
 
     Ownership: no array a checkpoint state holds is written afterwards: the
     input, which is only read, is handed on as it is, and every later state
@@ -260,31 +284,24 @@ def run(
     DivergenceError is raised when a step produces a non-finite sample or
     an energy overflows or is not finite.
 
-    Threads: when a field takes at least :data:`TWO_WORKER_BYTES` (64^3 does,
-    48^3 and 128^2 do not) and ``os.sched_getaffinity`` offers two CPUs, the
-    steps run on two threads, this one and a helper (:class:`_Workers`).
-    They split the slab passes of the force, of z - lam*F and of the
-    residual maxima, and run the u and v solves at once. The helper starts at the first step and stops before ``run``
-    returns or raises; the callbacks run on this thread. Every output is
-    bitwise that of the inline path.
+    Threads: a field of at least :data:`TWO_WORKER_BYTES` steps on this
+    thread and one helper when two CPUs are offered (:class:`_Workers`).
+    The helper starts at the first step and stops before ``run`` returns or
+    raises; the callbacks run on this thread. Every output is bitwise that
+    of the inline path.
     """
     grid = state.u.grid
     workers = _Workers.for_grid(grid)
-    stepper = _Stepper(grid, params, cfg, workers)
-    # u+ and v+ alternate between two buffer pairs; the input is only read
-    pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
-    work = stepper.force.work[0]
-    energy_buffers = (*stepper.force.work[:2], stepper.force.spec)
-    u, v = state.u.values, state.v.values
+    stepper = _Stepper(state, params, cfg, workers)
     check_stationary = np.isfinite(cfg.stop_tol)
     residual = np.nan
     reason = "max_steps"
     done = 0
 
     def _energy(step: int) -> EnergyBreakdown:
-        # the energy of (u, v), in the lent buffers; a non-finite one is divergence
+        # a non-finite energy is divergence
         try:
-            energy = total_energy(Field(grid, u), Field(grid, v), params, energy_buffers)
+            energy = stepper.energy()
         except OverflowError:
             raise DivergenceError(step, f"energy overflowed at step {step}") from None
         if not math.isfinite(energy.total):
@@ -298,26 +315,22 @@ def run(
                 on_trace(nstep, time, _energy(nstep), residual)
             if on_checkpoint is not None and nstep % cfg.checkpoint_every == 0:
                 # no step writes the input's arrays; later states are copied out
-                on_checkpoint(state if done == 0 else
-                              RunState(Field(grid, u.copy()), Field(grid, v.copy()), time, nstep))
-            u_new, v_new = stepper.advance(u, v, *pairs[done % 2])
-            change = _max_change(workers, grid, (u_new, v_new), (u, v), work)
+                on_checkpoint(state if done == 0 else RunState(
+                    Field(grid, stepper.u.copy()), Field(grid, stepper.v.copy()), time, nstep))
+            change = stepper.advance()
             if not math.isfinite(change):
                 raise DivergenceError(nstep + 1)
             residual = change / cfg.dt
-            u, v = u_new, v_new
             done += 1
             if check_stationary and residual < cfg.stop_tol:
                 reason = "stationary"
                 break
 
-    # the final energy needs only the state and the buffers lent to it: free
-    # the other pair and the multipliers
-    del stepper, pairs
     nstep, time = state.step + done, state.time + done * cfg.dt
     energy = _energy(nstep)
     if on_trace is not None:
         on_trace(nstep, time, energy, residual)
+    u, v = stepper.u, stepper.v
     if done == 0:  # the result owns its arrays: a copy of the input
         u, v = u.copy(), v.copy()
     return RunResult(state=RunState(Field(grid, u), Field(grid, v), time, nstep), energy=energy,

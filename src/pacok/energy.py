@@ -16,8 +16,8 @@ gradient of W is continuous.
 :func:`total_energy` is the one evaluation of E; its :class:`EnergyBreakdown`
 carries the four terms, the total and the masses int f(u), int f(v). It takes
 three FFTs and writes through two field buffers and one half-spectrum buffer,
-which the caller may lend: the run loop lends its stepper's, so the energies
-of a run allocate nothing field-sized.
+which the caller may lend: a run's stepper lends its force's scratch, so the
+energies of a run allocate nothing field-sized.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> Energy
                                     params.gamma, masses)
 
 
-def _each_slab(fn, slabs) -> list:
-    """``[fn(slab) for slab in slabs]``: the inline way to walk a field's slabs."""
-    return [fn(slab) for slab in slabs]
+def _whole(fn) -> None:
+    """Walk a field as one slab: ``fn(slice(None))``."""
+    fn(slice(None))
 
 
 class ExplicitForce:
@@ -227,24 +227,23 @@ class ExplicitForce:
 
     The pointwise work is fused. For the cubic f, the terms f, f' and W_u
     share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
-    and W_v = 27*(overlap + v - clip(v, 0, 1)). It walks the grid's
-    :attr:`~pacok.grid.GridSpec.slabs` in two passes, so that each slab's
-    ufunc calls stay in cache: the first forms s, f(u), f(v) and the charge
-    density; then come the masses, whole-array sums, and the Poisson solve,
-    two FFTs: :func:`~pacok.grid.apply_multiplier` applies 1/|k|^2, which
-    the instance keeps, in phi's memory; the second pass forms F. Every
-    element sees the same operations in the same order whichever slabs it
-    falls in, so the slabs leave the result's bits alone, and the passes may
-    visit them in any order or concurrently.
+    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call makes two pointwise
+    passes: the first forms s, f(u), f(v) and the charge density; then come
+    the masses, whole-array sums, and the Poisson solve, two FFTs:
+    :func:`~pacok.grid.apply_multiplier` applies 1/|k|^2, which the instance
+    keeps, in phi's memory; the second pass forms F. Every element sees the
+    same operations in the same order, so a pass may walk the fields in
+    slabs of axis-0 planes, in any order or concurrently, and leave the
+    result's bits alone.
 
     A call writes through ``out=`` into the outputs and into a workspace
     allocated here once: three field buffers ``work`` = (s_u, s_v, phi), one
     contiguous (3, *shape) array, and one half-spectrum ``spec``. The cubic
     f(u) and f(v) are formed in the outputs, the charge density, phi and
     then the overlap share one buffer, and s_v is scratch once its last
-    product is taken; so a call allocates nothing field-sized. The instance
-    owns the workspace; between calls the caller may use ``work`` and
-    ``spec`` as scratch.
+    product is taken; so a call allocates nothing field-sized. Between
+    calls the owner of the instance may use ``work`` and ``spec`` as
+    scratch.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams):
@@ -256,12 +255,12 @@ class ExplicitForce:
         self.spec = spectrum_buffer(grid)
 
     def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray,
-                 split=_each_slab):
+                 walk=_whole):
         """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only.
 
-        ``split(fn, slabs)`` returns ``[fn(slab) for slab in slabs]``, in
-        whatever order or concurrency it likes; it returns only when every
-        call has.
+        ``walk(fn)`` calls ``fn(s)`` for axis-0 slices ``s`` that cover the
+        fields once, in whatever order or concurrency it likes, and returns
+        only when every call has; by default it makes one whole-array call.
         """
         p, grid = self.params, self.grid
         eps, zeta = p.epsilon, p.zeta
@@ -286,7 +285,7 @@ class ExplicitForce:
             np.divide(fvs, zeta, out=ph)
             np.subtract(fus, ph, out=ph)
 
-        split(densities, grid.slabs)
+        walk(densities)
         mass_u = integrate_array(grid, fu)
         mass_v = integrate_array(grid, fv)
         apply_multiplier(grid, phi, self.inv_k2, spec=self.spec, out=phi)
@@ -327,7 +326,7 @@ class ExplicitForce:
             np.multiply(us, A_UU / eps, out=tmp)
             ou -= tmp
 
-        split(force, grid.slabs)
+        walk(force)
 
 
 def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Field, Field]:

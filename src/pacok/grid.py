@@ -13,15 +13,12 @@ Arrays are stored C-ordered with x as the fastest axis, i.e. a field on an
 The Fourier basis is defined here alone; other modules see only multipliers
 on the half-spectrum (complex, shaped ``spectrum_shape``). The one forward
 transform, multiply and in-place inverse is :func:`apply_multiplier`, and
-the one Parseval sum :func:`quadratic_form`. The time stepper and
-``total_energy`` lend both their buffers, so they allocate nothing
-field-sized; the standalone operators (:func:`poisson_solve`,
+the one Parseval sum :func:`quadratic_form`; both write into buffers the
+caller may lend, so the time stepper and ``total_energy`` allocate nothing
+field-sized. The standalone operators (:func:`poisson_solve`,
 :func:`laplacian`, :func:`translate` and :func:`dirichlet_energy`) allocate
-a half-spectrum and their result per call.
-
-Pointwise passes over large fields walk them in :attr:`GridSpec.slabs`,
-runs of whole axis-0 planes of at most :data:`SLAB_BYTES` per field, so that
-the few fields one pass touches stay in a core's cache.
+a half-spectrum and their result per call. A :class:`GridSpec` describes
+geometry only; how a step walks or threads its fields is the stepper's.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import GridMismatchError, InvalidFieldError, require_axes, require_positive, whole_number
-
-#: bytes of one field in a slab: the seven fields a pointwise pass of the
-#: force touches then take 1.75 MiB, within a 2 MiB L2
-SLAB_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -99,16 +92,6 @@ class GridSpec:
     @property
     def size(self) -> int:
         return math.prod(self.points)  # exact: np.prod wraps at 2**63
-
-    @cached_property
-    def slabs(self) -> tuple[slice, ...]:
-        """Axis-0 slices that cut a float64 field into as few runs of whole
-        planes as keep each within :data:`SLAB_BYTES`, as equal as the plane
-        count allows; one plane each when a plane alone is larger."""
-        planes = self.shape[0]
-        count = min(planes, -(-8 * self.size // SLAB_BYTES))
-        bounds = [planes * i // count for i in range(count + 1)]
-        return tuple(slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis (0 = x)."""

@@ -226,12 +226,15 @@ class TestWorkspaceStepper:
     def test_matches_eight_fft_oracle(self, points, lengths, interpolant):
         grid = pk.GridSpec(points, lengths)
         state, params = _noisy_shell(grid, interpolant)
-        stepper = _Stepper(grid, params, CFG)
-        buffers = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
-        new = old = (state.u.values, state.v.values)
-        for k in range(50):
-            new = stepper.advance(*new, *buffers[k % 2])
+        stepper = _Stepper(state, params, CFG)
+        old = (state.u.values, state.v.values)
+        for _ in range(50):
+            before = stepper.u.copy(), stepper.v.copy()
+            change = stepper.advance()
+            assert change == max(np.max(np.abs(after - prev))
+                                 for after, prev in zip((stepper.u, stepper.v), before))
             old = _oracle_advance(grid, params, CFG, *old)
+        new = stepper.u, stepper.v
         assert np.all(np.isfinite(new[0])) and np.all(np.isfinite(new[1]))
         assert np.max(np.abs(new[0] - state.u.values)) > 1e-6  # the state moved
         assert np.max(np.abs(new[0] - old[0])) <= 1e-12
@@ -240,19 +243,17 @@ class TestWorkspaceStepper:
     def test_warm_step_allocates_less_than_one_field(self):
         grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
         state, params = _noisy_shell(grid, "cubic")
-        stepper = _Stepper(grid, params, CFG)
-        out = (np.empty(grid.shape), np.empty(grid.shape))
-        stepper.advance(state.u.values, state.v.values, *out)  # warm
-        peak = peak_bytes(lambda: stepper.advance(state.u.values, state.v.values, *out))
+        stepper = _Stepper(state, params, CFG)
+        stepper.advance()  # warm
+        peak = peak_bytes(stepper.advance)
         assert peak < state.u.values.nbytes  # one field: 262 144 B
 
     def test_warm_energy_allocates_less_than_one_field(self):
         grid = pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))
         state, params = _noisy_shell(grid, "cubic")
-        force = _Stepper(grid, params, CFG).force
-        buffers = (*force.work[:2], force.spec)
-        dynamics.total_energy(state.u, state.v, params, buffers)  # warm
-        peak = peak_bytes(lambda: dynamics.total_energy(state.u, state.v, params, buffers))
+        stepper = _Stepper(state, params, CFG)
+        assert stepper.energy() == pk.total_energy(state.u, state.v, params)  # warm
+        peak = peak_bytes(stepper.energy)
         assert peak < state.u.values.nbytes  # one field: 262 144 B
 
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
@@ -273,8 +274,7 @@ class TestWorkspaceStepper:
 
     def test_six_ffts_per_step(self, fft_calls):
         state = _liposome_state()
-        out = (np.empty(GRID.shape), np.empty(GRID.shape))
-        _Stepper(GRID, PARAMS, CFG).advance(state.u.values, state.v.values, *out)
+        _Stepper(state, PARAMS, CFG).advance()
         assert sorted(fft_calls) == ["irfft"] * 3 + ["rfftn"] * 3
         fft_calls.clear()
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=5, stop_tol=np.inf)
@@ -325,17 +325,7 @@ class TestWorkspaceStepper:
 
     @pytest.mark.parametrize("phase", [0, 1])
     def test_nan_raises_at_its_step(self, monkeypatch, phase):
-        original = _Stepper.advance
-        steps = []
-
-        def poisoned(self, u, v, out_u=None, out_v=None):
-            out = original(self, u, v, out_u, out_v)
-            steps.append(None)
-            if len(steps) == 3:
-                out[phase][3, 5] = np.nan
-            return out
-
-        monkeypatch.setattr(_Stepper, "advance", poisoned)
+        steps = _poison_third_step(monkeypatch, phase, (3, 5))
         base = _liposome_state()
         state = pk.RunState(u=base.u, v=base.v, time=10 * CFG.dt, step=10)
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=8, stop_tol=np.inf)
@@ -343,6 +333,25 @@ class TestWorkspaceStepper:
             pk.run(state, PARAMS, cfg)
         assert err.value.step == 13
         assert len(steps) == 3
+
+
+def _poison_third_step(monkeypatch, phase, index):
+    """Sets sample ``index`` of u+ (``phase`` 0) or v+ (1) to NaN inside the
+    third step, once its implicit solves are done and before its residual
+    pass; returns a list that gains one entry per step."""
+    original = _Workers.pair
+    steps = []
+
+    def pair(self, first, second):
+        out = original(self, first, second)
+        if isinstance(out[0], np.ndarray):  # the solves; a slab walk pairs lists
+            steps.append(None)
+            if len(steps) == 3:
+                out[phase][index] = np.nan
+        return out
+
+    monkeypatch.setattr(_Workers, "pair", pair)
+    return steps
 
 
 def _whole_array_force(grid, params, u, v):
@@ -430,19 +439,17 @@ class TestTwoWorkers:
         sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock often
         try:
             for two in (False, True):
-                with _Workers(two) as workers:
-                    stepper = _Stepper(GRID64, params, CFG, workers)
-                    buffers = [(np.empty(GRID64.shape), np.empty(GRID64.shape)) for _ in range(2)]
-                    new = (state.u.values, state.v.values)
-                    for k in range(5):
-                        new = stepper.advance(*new, *buffers[k % 2])
+                with _Workers(GRID64, two) as workers:
+                    stepper = _Stepper(state, params, CFG, workers)
+                    changes = [stepper.advance() for _ in range(5)]
                     assert (workers._helper is not None) == two
-                finals.append(new)
+                finals.append((stepper.u, stepper.v, changes))
         finally:
             sys.setswitchinterval(interval)
-        (u1, v1), (u2, v2) = finals
+        (u1, v1, changes1), (u2, v2, changes2) = finals
         assert np.max(np.abs(u1 - state.u.values)) > 1e-6  # the state moved
         assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+        assert changes1 == changes2
 
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
     def test_force_and_derivatives_are_bitwise_the_whole_array_force(self, interpolant):
@@ -452,7 +459,7 @@ class TestTwoWorkers:
         force = ExplicitForce(GRID64, params)
         for two in (False, True):
             out = (np.empty(GRID64.shape), np.empty(GRID64.shape))
-            with _Workers(two) as workers:
+            with _Workers(GRID64, two) as workers:
                 force(u, v, *out, workers.split)
             assert np.array_equal(out[0], reference[0]) and np.array_equal(out[1], reference[1])
         du, dv = pk.energy.variational_derivatives(state.u, state.v, params)
@@ -464,17 +471,7 @@ class TestTwoWorkers:
     @pytest.mark.parametrize("count", [1, 2], ids=["inline", "two-workers"])
     def test_nan_in_the_last_slab_raises_at_its_step(self, monkeypatch, cpus, count):
         # the last slab is in the half the helper thread takes
-        original = _Stepper.advance
-        steps = []
-
-        def poisoned(self, u, v, out_u=None, out_v=None):
-            out = original(self, u, v, out_u, out_v)
-            steps.append(None)
-            if len(steps) == 3:
-                out[1][-1, -1, -1] = np.nan
-            return out
-
-        monkeypatch.setattr(_Stepper, "advance", poisoned)
+        steps = _poison_third_step(monkeypatch, 1, (-1, -1, -1))
         started = cpus(count)
         base, params = _noisy_shell(GRID64, "cubic")
         state = pk.RunState(u=base.u, v=base.v, time=10 * CFG.dt, step=10)
@@ -483,6 +480,18 @@ class TestTwoWorkers:
         assert err.value.step == 13
         assert len(steps) == 3
         assert len(started) == count - 1
+
+    @pytest.mark.parametrize("points,planes", [
+        ((64, 64, 64), [8] * 8),  # 2 MiB: eight slabs of 256 KiB
+        ((48, 48, 48), [12] * 4),  # 864 KiB: four of 216 KiB
+        ((128, 128), [128]),  # 128 KiB: one slab
+        ((100, 100, 10), [2, 3, 2, 3]),  # 781 KiB: as equal as whole planes allow
+        ((512, 512, 4), [1] * 4),  # a 2 MiB plane: one plane each
+    ])
+    def test_slabs_cut_axis_0_into_runs_of_whole_planes(self, points, planes):
+        slabs = _Workers(pk.GridSpec(points, (1.0,) * len(points))).slabs
+        assert [s.stop - s.start for s in slabs] == planes
+        assert slabs[0].start == 0 and all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
 
     @pytest.mark.parametrize("points,two", [((128, 128), False), ((256, 256), False),
                                             ((48, 48, 48), False), ((64, 64, 64), True)])
@@ -508,7 +517,7 @@ class TestTwoWorkers:
         def overflow():
             return np.multiply(np.full(4, 1e300), 1e300)
 
-        with _Workers(two=True) as workers, np.errstate(over="raise"):
+        with _Workers(GRID64, two=True) as workers, np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
                 workers.pair(lambda: None, overflow)
             with np.errstate(over="ignore"):
@@ -524,7 +533,7 @@ class TestTwoWorkers:
             time.sleep(0.05)
             finished.append("second")
 
-        with _Workers(two=True) as workers:
+        with _Workers(GRID64, two=True) as workers:
             with pytest.raises(ValueError, match="first"):
                 workers.pair(fail, slow)
             assert finished == ["second"]  # no buffer is written after pair() raises

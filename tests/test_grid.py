@@ -52,18 +52,6 @@ class TestGridSpec:
         assert grid.cell_volume == float(np.prod(grid.spacing))
         assert pk.GridSpec(grid.points, grid.lengths) == grid  # the cache is no field
 
-    @pytest.mark.parametrize("points,planes", [
-        ((64, 64, 64), [8] * 8),  # 2 MiB: eight slabs of 256 KiB
-        ((48, 48, 48), [12] * 4),  # 864 KiB: four of 216 KiB
-        ((128, 128), [128]),  # 128 KiB: one slab
-        ((100, 100, 10), [2, 3, 2, 3]),  # 781 KiB: as equal as whole planes allow
-        ((512, 512, 4), [1] * 4),  # a 2 MiB plane: one plane each
-    ])
-    def test_slabs_cut_axis_0_into_runs_of_whole_planes(self, points, planes):
-        slabs = pk.GridSpec(points, (1.0,) * len(points)).slabs
-        assert [s.stop - s.start for s in slabs] == planes
-        assert slabs[0].start == 0 and all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
-
     def test_size_is_exact(self):
         # the product 2**64 wraps to 0 in int64 arithmetic
         assert pk.GridSpec((2**22, 2**22, 2**20), (1.0, 1.0, 1.0)).size == 2**64

@@ -131,12 +131,20 @@ class TestBuildBilayer:
             epsilon=0.06, zeta=1.0)
         u, v = pk.build_bilayer(slab, grid3)
         assert 0.0 < pk.integrate(u) < pk.integrate(pk.Field.full(grid3, 1.0))
-        torus = pk.BilayerSpec(
-            shape=pk.Torus(center=(1.0, 1.0, 1.0), major_radius=0.55, minor_radius=0.2,
-                           deform_factor=1.2),
-            epsilon=0.06, u_half_thickness=0.1, zeta=1.0)
+        # without a radius the slab fills the box's xy-plane: u depends on z alone
+        infinite = pk.BilayerSpec(
+            shape=pk.Slab(center=(1.0, 1.0, 1.0), normal=(0.0, 0.0, 1.0), half_thickness=0.15),
+            epsilon=0.06, zeta=1.0)
+        u1, _ = pk.build_bilayer(infinite, grid3)
+        assert np.array_equal(u1.values, np.broadcast_to(u1.values[:, :1, :1], grid3.shape))
+        assert pk.integrate(u1) == pytest.approx(2 * 0.15 * 2.0 * 2.0, rel=0.03)
+        torus_shape = pk.Torus(center=(1.0, 1.0, 1.0), major_radius=0.55, minor_radius=0.2,
+                               deform_factor=1.2)
+        torus = pk.BilayerSpec(shape=torus_shape, epsilon=0.06, u_half_thickness=0.1, zeta=1.0)
         u2, _ = pk.build_bilayer(torus, grid3)
         assert np.max(u2.values) > 0.9
+        with pytest.raises(ValueError, match="does not pin u_half_thickness"):
+            pk.BilayerSpec(shape=torus_shape, epsilon=0.06, zeta=1.0)
 
     def test_curve_bilayer_from_random_curve(self, rng):
         # a closed Fourier curve r(theta) = 0.7 (1 + random harmonics 2 to 4)
@@ -151,6 +159,14 @@ class TestBuildBilayer:
         u, v = pk.build_bilayer(spec, GRID)
         assert np.max(u.values) > 0.9
         assert np.max(v.values) > 0.9
+        # a curve with a half_thickness pins u_half_thickness itself
+        pinned = pk.BilayerSpec(shape=pk.CurveBilayer(points=points, half_thickness=0.1),
+                                epsilon=0.05, zeta=1.0)
+        assert pinned.u_half_thickness == 0.1
+        u1, v1 = pk.build_bilayer(pinned, GRID)
+        assert np.array_equal(u1.values, u.values) and np.array_equal(v1.values, v.values)
+        with pytest.raises(ValueError, match="does not pin u_half_thickness"):
+            pk.BilayerSpec(shape=pk.CurveBilayer(points=points), epsilon=0.05, zeta=1.0)
 
 
 @pytest.mark.parametrize("center", [(1.3,), (1.3, 1.3, 1.3)])
@@ -180,6 +196,8 @@ class TestGyroid:
         spec = pk.BilayerSpec(shape=pk.Gyroid(), epsilon=0.1, u_half_thickness=0.2, zeta=1.0)
         with pytest.raises(ValueError):
             pk.build_bilayer(spec, GRID)
+        with pytest.raises(ValueError, match="does not pin u_half_thickness"):
+            pk.BilayerSpec(shape=pk.Gyroid(), epsilon=0.1, zeta=1.0)
 
 
 class TestPerforate:

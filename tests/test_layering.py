@@ -1,12 +1,14 @@
-"""Layering: the Fourier basis is defined in grid.py alone, and threads are
-started in dynamics.py alone.
+"""Layering: the Fourier basis is defined in grid.py alone, threads are
+started in dynamics.py alone, and a run's arrays are its stepper's alone.
 
 Every other module sees only Fourier multipliers and the grid functions that
 apply them, so a change of basis (say, to cosine transforms for mirror
 symmetry) touches one module. The checks read the source with ``ast``. The
-run loop owns the one helper thread a step may use, and ``import pacok``
+stepper owns the one helper thread a step may use, and ``import pacok``
 leaves the thread pool's module unimported, so that a run that takes no
-step pays nothing for it.
+step pays nothing for it. Outside energy.py only the stepper's methods
+touch the force's workspace, and grid.py, which describes geometry, holds
+no slab or thread policy.
 
 Guards for deletions and renames ride along: no module imports a name it
 never uses, every ``pk.<name>...`` chain that the benchmark's workloads call
@@ -124,6 +126,37 @@ def concurrency_imports(tree: ast.Module) -> set[str]:
     return names
 
 
+def workspace_reads(tree: ast.Module) -> list[int]:
+    """Lines that read a ``.work`` or ``.spec`` attribute, the force's
+    workspace, outside the methods of a class named ``_Stepper``."""
+    allowed = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "_Stepper"
+               for method in cls.body if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("work", "spec")
+                  and id(node) not in allowed)
+
+
+# words that name how a step walks or threads its fields
+POLICY_WORDS = ("slab", "worker", "thread")
+
+
+def policy_names(tree: ast.Module) -> set[str]:
+    """Names of :data:`POLICY_WORDS` that the module binds at its top level or
+    in a class body: functions, classes, methods and assignment targets."""
+    names = set()
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(sub.id for target in targets for sub in ast.walk(target)
+                             if isinstance(sub, ast.Name))
+    return {name for name in names if any(word in name.lower() for word in POLICY_WORDS)}
+
+
 def spectrum_reshapes(tree: ast.Module) -> list[int]:
     """Lines of ``reshape`` calls whose arguments mention ``spectrum_shape``."""
     lines = []
@@ -178,6 +211,32 @@ def test_concurrency_import_detector_sees_each_form():
               "import numpy.threading_free\nfrom . import threading_helpers\n")
     assert concurrency_imports(ast.parse(source)) == {
         "threading", "concurrent.futures", "multiprocessing"}
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "energy.py"])
+def test_only_the_stepper_touches_the_force_workspace(name):
+    assert workspace_reads(ast.parse((SRC / name).read_text())) == []
+
+
+def test_workspace_detector_sees_reads_outside_the_stepper():
+    source = ("class _Stepper:\n    def advance(self):\n        self.force.spec\n"
+              "        def inner(s):\n            return self.force.work[s]\n"
+              "def run(stepper):\n    work = stepper.force.work[0]\n"
+              "    return (*stepper.force.work[:2], stepper.force.spec)\n"
+              "class Other:\n    def f(self):\n        return self.spec_v, self.work\n")
+    assert workspace_reads(ast.parse(source)) == [7, 8, 8, 11]
+
+
+def test_grid_holds_no_slab_or_thread_policy():
+    assert policy_names(ast.parse((SRC / "grid.py").read_text())) == set()
+
+
+def test_policy_detector_sees_each_form():
+    source = ("SLAB_BYTES = 256\nx: int = 2\nclass GridSpec:\n    points: tuple\n"
+              "    @property\n    def slabs(self):\n        threads = 2\n"
+              "def two_workers(): pass\nclass ThreadPool: pass\nn_thread: int = 1\n")
+    assert policy_names(ast.parse(source)) == {
+        "SLAB_BYTES", "slabs", "two_workers", "ThreadPool", "n_thread"}
 
 
 def test_import_pacok_leaves_the_thread_pool_unimported():

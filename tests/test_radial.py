@@ -148,20 +148,24 @@ class TestRadialPotential:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("large", [False, True])
     def test_potential_matches_50_digit_oracle(self, n, large, rng):
-        # small: a hand-picked candidate; large: the m = 1e6 minimizer, whose
-        # layers are ~1e-7 (2-D) and ~2e-4 (3-D) of its radius thick
+        # small: a hand-picked candidate and a micelle (R0 = R1 = 0, whose core
+        # encloses no charge); large: the m = 1e6 minimizer, whose layers are
+        # ~1e-7 (2-D) and ~2e-4 (3-D) of its radius thick
         if large:
-            c = pk.optimize_liposome(1e6, 1.0, 1500.0, n)
+            candidates = [pk.optimize_liposome(1e6, 1.0, 1500.0, n)]
         else:
-            c = radial.liposome_candidate(3.0, 1.2, n, 0.6, 0.8)
-        r0, r1, r2, r3 = c.radii
-        r = np.concatenate([[0.5 * r0], *(rng.uniform(a, b, 4) for a, b in zip(c.radii, c.radii[1:]))])
-        exact = np.array([float(mp_potential(c, x)) for x in r])
-        scale = np.max(np.abs(exact))
-        assert np.max(np.abs(radial_potential(c, r) - exact)) <= 1e-13 * scale
-        drops = radial.potential_drops(c.radii, c.zeta, n)
-        exact_drops = [float(mp_potential(c, x)) for x in (r0, r1, r2)]
-        assert np.max(np.abs(np.subtract(drops, exact_drops))) <= 1e-13 * scale
+            candidates = [radial.liposome_candidate(3.0, 1.2, n, 0.6, 0.8),
+                          radial.liposome_candidate(3.0, 1.2, n, 0.0, 0.0)]
+        for c in candidates:
+            r0, r1, r2, r3 = c.radii
+            r = np.concatenate([[0.5 * r0], *(rng.uniform(a, b, 4)
+                                              for a, b in zip(c.radii, c.radii[1:]))])
+            exact = np.array([float(mp_potential(c, x)) for x in r])
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(radial_potential(c, r) - exact)) <= 1e-13 * scale
+            drops = radial.potential_drops(c.radii, c.zeta, n)
+            exact_drops = [float(mp_potential(c, x)) for x in (r0, r1, r2)]
+            assert np.max(np.abs(np.subtract(drops, exact_drops))) <= 1e-13 * scale
 
     def test_quadrature_identity(self):
         # int phi (1_U - 1_V/zeta) = 2 N, via fixed Gauss-Legendre panels
