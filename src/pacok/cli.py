@@ -85,14 +85,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_state(path, cfg: storage.RunConfig) -> dynamics.RunState:
+    """The checkpoint at ``path``, refused unless it lies on the config's grid,
+    whose parameters (eps, gamma, m, K1, K2) were chosen for that grid."""
+    state = storage.read_checkpoint(path)
+    if state.u.grid != cfg.grid:
+        raise PacokError("checkpoint grid does not match the config grid")
+    return state
+
+
 def _initial_state(cfg: storage.RunConfig) -> dynamics.RunState:
     """The run's first state: a checkpoint as read, or a shape seed built on
     the grid; then the perturbation, and for a shape seed the mass rescale."""
     restart = isinstance(cfg.init, str)
     if restart:
-        state = storage.read_checkpoint(cfg.init)
-        if state.u.grid != cfg.grid:
-            raise PacokError("checkpoint grid does not match the config grid")
+        state = _read_state(cfg.init, cfg)
     else:
         u, v = initcond.build_bilayer(cfg.init, cfg.grid)
         state = dynamics.RunState(u=u, v=v)
@@ -146,7 +153,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = storage.load_config(args.config)
-    state = storage.read_checkpoint(args.checkpoint)
+    state = _read_state(args.checkpoint, cfg)
     breakdown = total_energy(state.u, state.v, cfg.params)
     mass_u, mass_v = breakdown.masses
     print(f"perimeter {_fmt(breakdown.perimeter)}")
@@ -250,7 +257,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_dipole(args) -> int:
     cfg = storage.load_config(args.config)
-    state = storage.read_checkpoint(args.checkpoint)
+    state = _read_state(args.checkpoint, cfg)
     w = charge_density(state.u, state.v, cfg.params)
     w = Field(state.u.grid, w - w.mean())
     shift = analysis.zero_dipole_shift(w)

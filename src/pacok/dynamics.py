@@ -47,11 +47,11 @@ from .grid import (Field, GridSpec, _k_squared, apply_multiplier, poisson_solve,
 SLAB_BYTES = 256 * 1024
 
 #: the field size from which a run steps on two threads when it may use two
-#: CPUs. In the sweep of README "Threads" two were slower at 128^2 (128 KiB),
-#: faster in 4 of 6 pairs at 256^2 (512 KiB), and faster at 48^3 (864 KiB:
-#: 13.6 against 16.9 ms per step, 6 of 6 pairs) and 64^3 (2 MiB). 48^3 stays
-#: inline because an energy every 20 steps made two workers slower there:
-#: 12.5-14.1 against 10.6-11.6 ms per step.
+#: CPUs. In the sweep of README "Threads" two were slower at 128^2 (128 KiB,
+#: 0 of 6 pairs faster) and faster in 5 of 6 pairs at 256^2 (512 KiB), in 6 of
+#: 6 at 48^3 (864 KiB: 4.65 against 7.32 ms per step) and at 64^3 (2 MiB).
+#: 48^3 stays inline: with an earlier schedule an energy every 20 steps made
+#: two workers slower there, 12.5-14.1 against 10.6-11.6 ms per step.
 TWO_WORKER_BYTES = 1 << 20
 
 
@@ -112,19 +112,26 @@ def _cpu_count() -> int:
 class _Workers:
     """Walks a field's slabs and runs the independent halves of a step's
     work: both on the calling thread, in order, or, with ``two``, the second
-    on one helper thread while the first runs here.
+    on one helper thread while the first runs here. It is the schedule an
+    :class:`~pacok.energy.ExplicitForce` call takes.
 
     The slabs are axis-0 slices that cut a float64 field into as few runs of
     whole planes as keep each within :data:`SLAB_BYTES`, as equal as the
     plane count allows, one plane each when a plane alone is larger: the
-    few fields one pass touches then stay in a core's cache.
+    few fields one pass touches then stay in a core's cache. With ``two``
+    both threads take the next slab left until none is, so a thread that
+    the host slows takes fewer. ``columns`` cuts the half-spectrum's axis 1
+    into one slice per worker: the whole axis inline, two halves with
+    ``two``.
 
-    The helper starts at the first call that needs it and stops when the
-    ``with`` block ends, so a run that takes no step starts no thread. It
-    runs each call in a copy of the caller's context, and so under the
-    caller's ``np.errstate``: numpy keeps that in a context variable, which
-    a thread does not inherit. numpy releases the interpreter lock inside
-    its ufuncs, reductions and FFTs, so the two threads drive both cores.
+    The helper is one thread fed through two ``queue.SimpleQueue``: a call
+    to hand over, then its outcome back. It starts at the first call that
+    needs it and stops when the ``with`` block ends, after the call it
+    holds, so a run that takes no step starts no thread. It runs each call
+    in a copy of the caller's context, and so under the caller's
+    ``np.errstate``: numpy keeps that in a context variable, which a thread
+    does not inherit. numpy releases the interpreter lock inside its
+    ufuncs, reductions and FFTs, so the two threads drive both cores.
     """
 
     def __init__(self, grid: GridSpec, two: bool = False):
@@ -132,6 +139,8 @@ class _Workers:
         count = min(planes, -(-8 * grid.size // SLAB_BYTES))
         bounds = [planes * i // count for i in range(count + 1)]
         self.slabs = tuple(slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
+        half = grid.spectrum_shape[1] // 2
+        self.columns = (slice(0, half), slice(half, None)) if two else (slice(None),)
         self.two = two
         self._helper = None
 
@@ -146,31 +155,47 @@ class _Workers:
 
     def __exit__(self, *exc) -> None:
         if self._helper is not None:
-            self._helper.shutdown()
+            self._calls.put(None)
+            self._helper.join()
             self._helper = None
+
+    def _serve(self) -> None:
+        """The helper's loop: run each call handed over, until handed None."""
+        while (call := self._calls.get()) is not None:
+            try:
+                outcome = True, call()
+            except BaseException as exc:  # re-raised on the calling thread
+                outcome = False, exc
+            self._outcomes.put(outcome)
 
     def pair(self, first, second) -> tuple:
         """``(first(), second())``; returns or raises only when both are done."""
         if not self.two:
             return first(), second()
         if self._helper is None:
-            from concurrent.futures import ThreadPoolExecutor  # ~5 ms, paid by stepping runs only
-            self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pacok-step")
-        future = self._helper.submit(contextvars.copy_context().run, second)
+            import queue
+            import threading
+
+            self._calls, self._outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+            self._helper = threading.Thread(target=self._serve, name="pacok-step")
+            self._helper.start()
+        self._calls.put(functools.partial(contextvars.copy_context().run, second))
         try:
             result = first()
         finally:
-            other = future.result()  # the helper is done with the buffers
+            done, other = self._outcomes.get()  # the helper is done with the buffers
+        if not done:
+            raise other
         return result, other
 
     def split(self, fn) -> list:
-        """``[fn(slab) for slab in self.slabs]``, the later half on the second worker."""
-        slabs = self.slabs
+        """``[fn(slab) for slab in self.slabs]``, in any order; with ``two``
+        each worker takes the next slab left."""
         if not self.two:
-            return [fn(slab) for slab in slabs]
-        half = len(slabs) // 2
-        first, second = self.pair(lambda: [fn(slab) for slab in slabs[:half]],
-                                  lambda: [fn(slab) for slab in slabs[half:]])
+            return [fn(slab) for slab in self.slabs]
+        left = iter(self.slabs)  # next() hands each slab out once, under the interpreter lock
+        first, second = self.pair(lambda: [fn(slab) for slab in left],
+                                  lambda: [fn(slab) for slab in left])
         return first + second
 
 
@@ -184,16 +209,28 @@ class _Stepper:
     The state before the last step (the input, after the first) stays
     intact until the next step overwrites it.
 
-    :meth:`advance` costs six FFTs: two in the force's Poisson solve, then
-    two for each implicit solve, which applies 1/den to u - dt*L1*F_u (or
-    1/den_v to v - dt*L2*F_v) in the output's memory. The u solve transforms
-    into ``spec``, the v solve into ``spec_v``, a half-spectrum laid over
-    ``work``, which is free by then; so ``workers`` (a :class:`_Workers`,
-    inline by default) may run the two solves at once, and it walks the
-    slabs of the force, of z - lam*F and of the change. :meth:`energy`
-    evaluates in ``work`` and ``spec``. Neither allocates anything
-    field-sized: a warm 32^3 step peaks at ~0.13 MB under tracemalloc,
-    numpy's cast buffer for ``spec *= inv_den``, against 0.26 MB per field.
+    :meth:`advance` costs six FFTs in four phases, each one hand-off
+    (``pair``) of ``workers`` (a :class:`_Workers`, inline by default), so
+    with two workers no part of a step runs on one thread alone:
+
+    1. rows: the force's pointwise densities and the forward transform of
+       the charge density over all but axis 0, slab by slab;
+    2. columns: the Poisson solve along axis 0, half the columns on each
+       side, beside one mass sum each;
+    3. rows: the inverse into phi, F, and z - lam*F in F's memory;
+    4. the u solve and max|u+ - u| beside the v solve and max|v+ - v|.
+       Each solve applies 1/den in the output's memory: the u solve
+       transforms into ``spec``, the v solve into ``spec_v``, a
+       half-spectrum laid over ``work``, which is free by then. The u
+       residual is formed in phi's memory, which ``spec_v`` leaves alone,
+       and the v residual in the memory of ``spec_v`` once the v solve is
+       done.
+
+    :meth:`energy` evaluates in ``work`` and ``spec``. Neither allocates
+    anything field-sized: a warm 32^3 step peaks at ~0.13 MB under
+    tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against
+    0.26 MB per field; a warm two-worker 64^3 step at ~0.36 MB, the cast
+    buffers of the strided column halves, against 2 MiB per field.
     """
 
     def __init__(self, state: RunState, params: PhysParams, cfg: StepperConfig, workers=None):
@@ -218,7 +255,6 @@ class _Stepper:
         grid, workers = self.grid, self.workers
         u, v = self.u, self.v
         out_u, out_v = self._pairs[0]
-        self.force(u, v, out_u, out_v, workers.split)
 
         def explicit_part(s):  # z - lam*F, in F's memory
             for z, out, lam in ((u, out_u, self.lam_u), (v, out_v, self.lam_v)):
@@ -226,26 +262,26 @@ class _Stepper:
                 block *= -lam
                 block += z[s]
 
-        workers.split(explicit_part)
-        workers.pair(
-            lambda: apply_multiplier(grid, out_u, self.inv_den_u, spec=self.force.spec, out=out_u),
-            lambda: apply_multiplier(grid, out_v, self.inv_den_v, spec=self.spec_v, out=out_v))
-        work = self.force.work[0]  # free again once the solves are done
+        self.force(u, v, out_u, out_v, workers, then=explicit_part)
+        work = self.force.work
 
-        def slab_max(s):
-            change = work[s]
+        def solve(z, out, inv_den, spec, scratch):
+            apply_multiplier(grid, out, inv_den, spec=spec, out=out)
             maxima = []
-            for after, before in ((out_u, u), (out_v, v)):
-                np.subtract(after[s], before[s], out=change)
+            for s in workers.slabs:
+                change = scratch[s]
+                np.subtract(out[s], z[s], out=change)
                 np.abs(change, out=change)
                 maxima.append(change.max())
-            return np.maximum(*maxima)
+            # np.maximum, unlike max(), keeps a NaN of any slab
+            return functools.reduce(np.maximum, maxima)
 
-        maxima = workers.split(slab_max)
+        change = np.maximum(*workers.pair(
+            lambda: solve(u, out_u, self.inv_den_u, self.force.spec, work[2]),
+            lambda: solve(v, out_v, self.inv_den_v, self.spec_v, work[0])))
         self._pairs.reverse()
         self.u, self.v = out_u, out_v
-        # np.maximum, unlike max(), keeps a NaN of any slab
-        return float(functools.reduce(np.maximum, maxima))
+        return float(change)
 
     def energy(self) -> EnergyBreakdown:
         """The energy of (u, v), evaluated in the force's scratch."""

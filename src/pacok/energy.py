@@ -33,12 +33,14 @@ from .grid import (
     GridSpec,
     _inv_k_squared,
     _k_squared,
-    apply_multiplier,
     integrate_array,
+    invert_rows,
     laplacian,
+    multiply_columns,
     quadratic_form,
     require_same_grid,
     spectrum_buffer,
+    transform_rows,
 )
 
 #: ratio of the default v-regularization coefficient to eps/2
@@ -208,9 +210,19 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> Energy
                                     params.gamma, masses)
 
 
-def _whole(fn) -> None:
-    """Walk a field as one slab: ``fn(slice(None))``."""
-    fn(slice(None))
+class _Whole:
+    """The schedule of an :class:`ExplicitForce` call when none is lent:
+    each phase is one whole-array call on this thread."""
+
+    columns = (slice(None),)
+
+    @staticmethod
+    def split(fn) -> list:
+        return [fn(slice(None))]
+
+    @staticmethod
+    def pair(first, second) -> tuple:
+        return first(), second()
 
 
 class ExplicitForce:
@@ -227,14 +239,21 @@ class ExplicitForce:
 
     The pointwise work is fused. For the cubic f, the terms f, f' and W_u
     share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
-    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call makes two pointwise
-    passes: the first forms s, f(u), f(v) and the charge density; then come
-    the masses, whole-array sums, and the Poisson solve, two FFTs:
-    :func:`~pacok.grid.apply_multiplier` applies 1/|k|^2, which the instance
-    keeps, in phi's memory; the second pass forms F. Every element sees the
-    same operations in the same order, so a pass may walk the fields in
-    slabs of axis-0 planes, in any order or concurrently, and leave the
-    result's bits alone.
+    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call runs in three phases,
+    with the Poisson solve's two FFTs (1/|k|^2, which the instance keeps, in
+    phi's memory) cut between them by the grid's part-transforms:
+
+    1. rows: s, f(u), f(v) and the charge density, then the density's
+       :func:`~pacok.grid.transform_rows`, while the rows are in cache;
+    2. columns: the masses, whole-array sums, one on each side of a
+       ``pair``, and :func:`~pacok.grid.multiply_columns`, the first of the
+       schedule's ``columns`` beside int f(u), the rest beside int f(v);
+    3. rows: :func:`~pacok.grid.invert_rows` into phi, then F, then the
+       caller's ``then`` on the same rows.
+
+    Every element sees the same operations in the same order however the
+    phases are cut, so the rows and columns may be taken in any parts, in
+    any order or at once, and leave the result's bits alone.
 
     A call writes through ``out=`` into the outputs and into a workspace
     allocated here once: three field buffers ``work`` = (s_u, s_v, phi), one
@@ -255,16 +274,22 @@ class ExplicitForce:
         self.spec = spectrum_buffer(grid)
 
     def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray,
-                 walk=_whole):
+                 schedule=_Whole, then=None):
         """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only.
 
-        ``walk(fn)`` calls ``fn(s)`` for axis-0 slices ``s`` that cover the
-        fields once, in whatever order or concurrency it likes, and returns
-        only when every call has; by default it makes one whole-array call.
+        ``schedule`` runs the phases: ``schedule.split(fn)`` calls ``fn(s)``
+        for axis-0 slices ``s`` that cover the fields once, in whatever order
+        or concurrency it likes, and returns only when every call has;
+        ``schedule.pair(first, second)`` returns ``(first(), second())``,
+        again only when both are done; ``schedule.columns`` is a tuple of
+        axis-1 slices that cover the half-spectrum once. By default each
+        phase is one whole-array call. ``then(s)``, when given, runs on the
+        rows ``s`` as soon as their F is written, before the call returns.
         """
         p, grid = self.params, self.grid
         eps, zeta = p.epsilon, p.zeta
         s_u, s_v, phi = self.work
+        spec, inv_k2 = self.spec, self.inv_k2
         cubic = self.cubic
         fu, fv = (out_u, out_v) if cubic else (u, v)
         slope = 6.0 if cubic else 1.0
@@ -284,15 +309,23 @@ class ExplicitForce:
             # the charge density f(u) - f(v)/zeta, in phi's memory
             np.divide(fvs, zeta, out=ph)
             np.subtract(fus, ph, out=ph)
+            transform_rows(phi, spec, s)
 
-        walk(densities)
-        mass_u = integrate_array(grid, fu)
-        mass_v = integrate_array(grid, fv)
-        apply_multiplier(grid, phi, self.inv_k2, spec=self.spec, out=phi)
+        schedule.split(densities)
+
+        def mass(f, columns):
+            for c in columns:
+                multiply_columns(spec, c, inv_k2)
+            return integrate_array(grid, f)
+
+        columns = schedule.columns
+        mass_u, mass_v = schedule.pair(lambda: mass(fu, columns[:1]),
+                                       lambda: mass(fv, columns[1:]))
         penalty_u = slope * p.K1 * (p.mass - mass_u)
         penalty_v = slope * p.K2 * (zeta * p.mass - mass_v)
 
         def force(s):
+            invert_rows(spec, phi, s)
             us, vs, su, sv, ph, ou, ov = u[s], v[s], s_u[s], s_v[s], phi[s], out_u[s], out_v[s]
             # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
             np.multiply(ph, slope * p.gamma, out=ou)
@@ -325,8 +358,10 @@ class ExplicitForce:
             ou += overlap
             np.multiply(us, A_UU / eps, out=tmp)
             ou -= tmp
+            if then is not None:
+                then(s)
 
-        walk(force)
+        schedule.split(force)
 
 
 def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Field, Field]:

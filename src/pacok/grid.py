@@ -15,7 +15,11 @@ on the half-spectrum (complex, shaped ``spectrum_shape``). The one forward
 transform, multiply and in-place inverse is :func:`apply_multiplier`, and
 the one Parseval sum :func:`quadratic_form`; both write into buffers the
 caller may lend, so the time stepper and ``total_energy`` allocate nothing
-field-sized. The standalone operators (:func:`poisson_solve`,
+field-sized. :func:`apply_multiplier` is three parts, each of which may be
+taken over any axis-0 slice (rows) or axis-1 slice (columns) of the field:
+:func:`transform_rows`, :func:`multiply_columns` and :func:`invert_rows`.
+numpy transforms each 1-D line on its own, so the result has the same bits
+however the parts are cut. The standalone operators (:func:`poisson_solve`,
 :func:`laplacian`, :func:`translate` and :func:`dirichlet_energy`) allocate
 a half-spectrum and their result per call. A :class:`GridSpec` describes
 geometry only; how a step walks or threads its fields is the stepper's.
@@ -211,17 +215,54 @@ def require_same_grid(*fields: Field) -> GridSpec:
     return grid
 
 
-def irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse of ``rfftn`` over every axis, written into ``out`` and returned.
+def transform_rows(values: np.ndarray, spec: np.ndarray, rows: slice) -> None:
+    """The forward transform of ``values[rows]`` over every axis but axis 0,
+    written into ``spec[rows]``; ``rows`` is an axis-0 slice.
 
-    Bitwise equal to ``np.fft.irfftn(spec, s=out.shape, axes=all)``, but it
-    allocates nothing field-sized: complex ``ifft`` passes run in place over
-    the leading axes, in irfftn's order, and ``irfft`` writes the last axis
-    into ``out``. ``spec`` is overwritten.
+    The first of the three parts of :func:`apply_multiplier`: numpy's
+    ``rfftn`` takes the last axis first and axis 0 last, so these passes
+    followed by :func:`multiply_columns` over every column are its transform,
+    bit for bit. Every 1-D line is transformed on its own, so the rows may be
+    taken in parts, in any order or at once, with the same bits.
     """
-    for axis in range(spec.ndim - 1):
-        np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)
+    # s as Python ints: rfftn's own default takes numpy ints, a slower path
+    np.fft.rfftn(values[rows], s=values.shape[1:], axes=tuple(range(1, values.ndim)),
+                 out=spec[rows])
+
+
+def multiply_columns(spec: np.ndarray, columns: slice, *factors: np.ndarray) -> None:
+    """The transform along axis 0 of ``spec[:, columns]``, then the product
+    of ``factors`` (arrays that broadcast against ``spec``), then the inverse
+    along axis 0, in place; ``columns`` is an axis-1 slice.
+
+    The middle part of :func:`apply_multiplier`. It needs every row's
+    :func:`transform_rows` done first and comes before any
+    :func:`invert_rows`; like them it may be taken in parts.
+    """
+    block = spec[:, columns]
+    np.fft.fft(block, axis=0, out=block)
+    for factor in factors:
+        factor = np.asarray(factor)
+        axis = factor.ndim - spec.ndim + 1  # the factor's axis under spec's axis 1
+        if axis >= 0 and factor.shape[axis] > 1:
+            factor = factor[(slice(None),) * axis + (columns,)]
+        block *= factor
+    np.fft.ifft(block, axis=0, out=block)
+
+
+def invert_rows(spec: np.ndarray, out: np.ndarray, rows: slice) -> None:
+    """The inverse transform of ``spec[rows]`` over every axis but axis 0,
+    written into ``out[rows]``; ``spec[rows]`` is overwritten.
+
+    The last part of :func:`apply_multiplier`. With axis 0 inverted first
+    (:func:`multiply_columns`), these passes go in ``irfftn``'s order:
+    complex ``ifft`` in place over the middle axes, then ``irfft`` of the
+    last axis into ``out``, so nothing field-sized is allocated.
+    """
+    block = spec[rows]
+    for axis in range(1, spec.ndim - 1):
+        np.fft.ifft(block, axis=axis, out=block)
+    np.fft.irfft(block, n=out.shape[-1], axis=-1, out=out[rows])
 
 
 def apply_multiplier(grid: GridSpec, values: np.ndarray, *factors: np.ndarray,
@@ -230,17 +271,23 @@ def apply_multiplier(grid: GridSpec, values: np.ndarray, *factors: np.ndarray,
     ``out`` and returned; M is the product of ``factors``, arrays that
     broadcast against ``grid.spectrum_shape``, applied in turn.
 
-    The transform goes into ``spec`` (see :func:`spectrum_buffer`) and is
-    inverted in place by :func:`irfftn_into`. ``out`` (a float64 field buffer)
-    may be ``values`` itself. With both lent the call allocates nothing
-    field-sized; without, one fresh half-spectrum and one fresh result.
-    Forward passes with ``out=`` run in place, bitwise equal to numpy's
-    allocating ones and about twice as fast at 64^3.
+    It is :func:`transform_rows`, :func:`multiply_columns` and
+    :func:`invert_rows`, each over the whole field: bitwise numpy's
+    ``rfftn``, the products and ``irfftn``. A caller that wants the work in
+    parts calls the three itself. The transform goes into ``spec`` (see
+    :func:`spectrum_buffer`) and is inverted in place. ``out`` (a float64
+    field buffer) may be ``values`` itself. With both lent the call
+    allocates nothing field-sized; without, one fresh half-spectrum and one
+    fresh result.
     """
-    spec = np.fft.rfftn(values, out=spectrum_buffer(grid) if spec is None else spec)
-    for factor in factors:
-        spec *= factor
-    return irfftn_into(spec, np.empty(grid.shape) if out is None else out)
+    spec = spectrum_buffer(grid) if spec is None else spec
+    whole = slice(None)
+    transform_rows(values, spec, whole)
+    multiply_columns(spec, whole, *factors)
+    # allocated after the products, whose cast buffers would otherwise raise the peak
+    out = np.empty(grid.shape) if out is None else out
+    invert_rows(spec, out, whole)
+    return out
 
 
 def poisson_solve(w: Field) -> Field:

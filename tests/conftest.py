@@ -1,8 +1,11 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import struct
+import threading
 import tracemalloc
 import zlib
+from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -19,22 +22,43 @@ def rng():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Names of the numpy.fft transforms called while the test runs.
+    """Field transforms made while the test runs: a Counter of numpy.fft
+    names, each call weighted, as an exact fraction, by the share of axis-0
+    planes it covers.
 
-    Every field transform runs in ``grid.apply_multiplier`` or
-    ``grid.quadratic_form``, which look ``np.fft.rfftn`` up at call time.
-    ``irfft`` is the last pass of every inverse (``grid.irfftn_into``, which
-    only ``apply_multiplier`` calls), so it counts inverses; ``irfftn`` is
-    counted too, so that a return to the allocating inverse shows up under
-    its own name.
+    Every field transform runs in ``grid.quadratic_form`` or in the grid's
+    part-transforms, which look numpy.fft up at call time: each forward
+    transform starts with ``rfftn`` (``transform_rows``) and each inverse
+    ends with ``irfft`` (``invert_rows``); ``irfftn`` is counted too, so that
+    a return to the allocating inverse shows up under its own name. A call
+    that transforms axis 0 covers every plane; one that does not covers the
+    planes of its input, rows cut from a field-shaped array (or a stack of
+    them), and weighs their share of that array's planes. So a transform
+    taken in slabs, on one thread or two, still counts one.
     """
-    calls = []
+    calls = Counter()
+    lock = threading.Lock()
+
+    def share(a, axes):
+        a = np.asarray(a)
+        whole = a.base if a.base is not None and a.base.ndim >= a.ndim else a
+        if 0 in [axis % a.ndim for axis in axes]:
+            return Fraction(1)
+        return Fraction(a.shape[0], whole.shape[-a.ndim])
+
     for name in ("rfftn", "irfft", "irfftn"):
         original = getattr(np.fft, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            if _name == "irfft":
+                axes = [kwargs.get("axis", args[1] if len(args) > 1 else -1)]
+            else:
+                axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+                axes = range(np.ndim(a)) if axes is None else axes
+            weight = share(a, axes)
+            with lock:
+                calls[_name] += weight
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls

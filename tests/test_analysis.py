@@ -131,7 +131,7 @@ class TestZeroDipoleShift:
         w = band_limited(grid, rng, max_mode=3)
         fft_calls.clear()  # band_limited's own inverse
         pk.zero_dipole_shift(w)
-        assert fft_calls == []
+        assert not fft_calls
 
     def test_identically_zero_marginal_flagged_ok(self):
         # odd in y only: the x-marginal vanishes identically, any shift works

@@ -243,11 +243,34 @@ class TestRender:
         assert list(tmp_path.glob("*.png")) == []
 
 
+def _config_on(grid, path):
+    """The shipped config of the grid's dimension, moved onto ``grid``, at ``path``."""
+    data = json.loads((CONFIGS / ("run3d.json" if grid.dim == 3 else "run2d.json")).read_text())
+    data["grid"] = {"points": list(grid.points), "lengths": list(grid.lengths)}
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestCheckpointGrid:
+    @pytest.mark.parametrize("command", ["energy", "dipole"])
+    def test_a_checkpoint_off_the_config_grid_exits_one(self, tmp_path, capsys, command):
+        # run3d.json's eps, gamma, m, K1 and K2 belong to its 64^3 grid
+        _random_checkpoint(tmp_path / "s.okpf", GRIDS[1])
+        out = tmp_path / "m.okpf"
+        extra = ["--out", str(out)] if command == "dipole" else []
+        assert main([command, "--config", str(CONFIGS / "run3d.json"),
+                     "--checkpoint", str(tmp_path / "s.okpf"), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: checkpoint grid does not match the config grid\n"
+        assert not out.exists()
+
+
 class TestDipole:
     @pytest.mark.parametrize("grid", GRIDS, ids=["2d", "3d"])
     def test_output_is_the_input_moved_by_the_printed_shift(self, tmp_path, capsys, grid):
         state = _random_checkpoint(tmp_path / "s.okpf", grid, seed=7)
-        config = CONFIGS / ("run3d.json" if grid.dim == 3 else "run2d.json")
+        config = _config_on(grid, tmp_path / "run.json")
         assert main(["dipole", "--config", str(config), "--checkpoint", str(tmp_path / "s.okpf"),
                      "--out", str(tmp_path / "m.okpf")]) == 0
         line = capsys.readouterr().out.splitlines()[0].split()

@@ -275,11 +275,17 @@ class TestWorkspaceStepper:
     def test_six_ffts_per_step(self, fft_calls):
         state = _liposome_state()
         _Stepper(state, PARAMS, CFG).advance()
-        assert sorted(fft_calls) == ["irfft"] * 3 + ["rfftn"] * 3
+        assert fft_calls == {"rfftn": 3, "irfft": 3}
         fft_calls.clear()
         cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=5, stop_tol=np.inf)
         pk.run(state, PARAMS, cfg)
-        assert len(fft_calls) == 6 * 5 + 3  # five steps, then the final energy
+        assert fft_calls.total() == 6 * 5 + 3  # five steps, then the final energy
+        # the force's transforms in eight slabs, shared between the two threads
+        fft_calls.clear()
+        state, params = _noisy_shell(GRID64, "cubic")
+        with _Workers(GRID64, two=True) as workers:
+            _Stepper(state, params, CFG, workers).advance()
+        assert fft_calls == {"rfftn": 3, "irfft": 3}
 
     def test_callback_states_own_their_arrays(self):
         state = _liposome_state(noise=0.01)
@@ -337,20 +343,27 @@ class TestWorkspaceStepper:
 
 def _poison_third_step(monkeypatch, phase, index):
     """Sets sample ``index`` of u+ (``phase`` 0) or v+ (1) to NaN inside the
-    third step, once its implicit solves are done and before its residual
-    pass; returns a list that gains one entry per step."""
-    original = _Workers.pair
-    steps = []
+    third step, as its implicit solve returns and before its residual is
+    taken; returns a list that gains one entry per step."""
+    steppers, steps, solves = [], [], [0, 0]
+    original_init, original_solve = _Stepper.__init__, dynamics.apply_multiplier
 
-    def pair(self, first, second):
-        out = original(self, first, second)
-        if isinstance(out[0], np.ndarray):  # the solves; a slab walk pairs lists
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        steppers.append(self)
+
+    def solve(grid, values, inv_den, **buffers):
+        out = original_solve(grid, values, inv_den, **buffers)
+        side = 0 if inv_den is steppers[-1].inv_den_u else 1
+        solves[side] += 1  # each side solves on one thread at a time
+        if side == 0:
             steps.append(None)
-            if len(steps) == 3:
-                out[phase][index] = np.nan
+        if side == phase and solves[side] == 3:
+            out[index] = np.nan
         return out
 
-    monkeypatch.setattr(_Workers, "pair", pair)
+    monkeypatch.setattr(_Stepper, "__init__", init)
+    monkeypatch.setattr(dynamics, "apply_multiplier", solve)
     return steps
 
 
@@ -408,6 +421,9 @@ def _whole_array_force(grid, params, u, v):
 
 
 GRID64 = pk.GridSpec((64, 64, 64), (2.0, 2.0, 2.0))  # 2 MiB fields: eight slabs, two workers
+# 1.125 MiB fields: five slabs, two workers, and the column halves cut the
+# half-spectrum's rfft-halved axis (193 columns)
+GRID384 = pk.GridSpec((384, 384), (2.0, 2.0))
 
 
 @pytest.fixture
@@ -432,14 +448,15 @@ def cpus(monkeypatch):
 
 class TestTwoWorkers:
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
-    def test_steps_are_bitwise_the_inline_steps(self, interpolant):
-        state, params = _noisy_shell(GRID64, interpolant)
+    @pytest.mark.parametrize("grid", [GRID64, GRID384], ids=["64^3", "384^2"])
+    def test_steps_are_bitwise_the_inline_steps(self, grid, interpolant):
+        state, params = _noisy_shell(grid, interpolant)
         finals = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock often
         try:
             for two in (False, True):
-                with _Workers(GRID64, two) as workers:
+                with _Workers(grid, two) as workers:
                     stepper = _Stepper(state, params, CFG, workers)
                     changes = [stepper.advance() for _ in range(5)]
                     assert (workers._helper is not None) == two
@@ -460,7 +477,7 @@ class TestTwoWorkers:
         for two in (False, True):
             out = (np.empty(GRID64.shape), np.empty(GRID64.shape))
             with _Workers(GRID64, two) as workers:
-                force(u, v, *out, workers.split)
+                force(u, v, *out, workers)
             assert np.array_equal(out[0], reference[0]) and np.array_equal(out[1], reference[1])
         du, dv = pk.energy.variational_derivatives(state.u, state.v, params)
         lap_u, lap_v = pk.laplacian(state.u).values, pk.laplacian(state.v).values
@@ -480,6 +497,23 @@ class TestTwoWorkers:
         assert err.value.step == 13
         assert len(steps) == 3
         assert len(started) == count - 1
+
+    def test_a_step_makes_four_hand_offs(self, monkeypatch):
+        # rows, columns with the masses, rows, and the two solves with their residuals
+        calls = []
+        original = _Workers.pair
+
+        def pair(self, first, second):
+            calls.append(None)
+            return original(self, first, second)
+
+        monkeypatch.setattr(_Workers, "pair", pair)
+        state, params = _noisy_shell(GRID64, "cubic")
+        with _Workers(GRID64, two=True) as workers:
+            stepper = _Stepper(state, params, CFG, workers)
+            for _ in range(2):
+                stepper.advance()
+        assert len(calls) == 4 * 2
 
     @pytest.mark.parametrize("points,planes", [
         ((64, 64, 64), [8] * 8),  # 2 MiB: eight slabs of 256 KiB
@@ -537,6 +571,18 @@ class TestTwoWorkers:
             with pytest.raises(ValueError, match="first"):
                 workers.pair(fail, slow)
             assert finished == ["second"]  # no buffer is written after pair() raises
+
+    def test_split_hands_each_slab_out_once(self):
+        # both workers take slabs from one iterator
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _Workers(GRID64, two=True) as workers:
+                for _ in range(200):
+                    starts = workers.split(lambda s: s.start)
+                    assert sorted(starts) == [s.start for s in workers.slabs]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRun:

@@ -7,8 +7,9 @@ import pytest
 
 import pacok as pk
 from pacok.errors import GridMismatchError, InvalidFieldError
-from pacok.grid import (_inv_k_squared, _k_squared, _wavenumbers, apply_multiplier, irfftn_into,
-                        quadratic_form, require_same_grid, spectrum_buffer, translate)
+from pacok.grid import (_inv_k_squared, _k_squared, _wavenumbers, apply_multiplier, invert_rows,
+                        multiply_columns, quadratic_form, require_same_grid, spectrum_buffer,
+                        transform_rows, translate)
 
 from conftest import band_limited, peak_bytes
 
@@ -73,14 +74,27 @@ class TestGridSpec:
                               pk.Field.full(pk.GridSpec((64, 64), (2.0, 2.0)), 0.0))
 
 
-class TestIrfftnInto:
+class TestTransformParts:
     @pytest.mark.parametrize("shape", [(128, 128), (32, 32, 32), (8, 12, 16), (24, 32)])
-    def test_bitwise_equal_to_irfftn(self, rng, shape):
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        spec = rng.normal(size=half) + 1j * rng.normal(size=half)
-        expected = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
-        out = np.empty(shape)
-        assert irfftn_into(spec, out) is out
+    def test_parts_in_any_cut_are_bitwise_numpys_transforms(self, rng, shape):
+        grid = pk.GridSpec(tuple(reversed(shape)), (1.0,) * len(shape))
+        values = rng.normal(size=shape)
+        factors = (_inv_k_squared(grid), *(np.exp(1j * k * 0.3) for k in _wavenumbers(grid)))
+        spectrum = np.fft.rfftn(values)
+        for factor in factors:
+            spectrum *= factor
+        expected = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
+        assert apply_multiplier(grid, values, *factors).tobytes() == expected.tobytes()
+        # rows in three runs, the last first; columns in two
+        planes, columns = shape[0], grid.spectrum_shape[1]
+        rows = [slice(0, planes // 3), slice(planes // 3, planes // 2), slice(planes // 2, None)]
+        spec, out = spectrum_buffer(grid), np.empty(shape)
+        for part in reversed(rows):
+            transform_rows(values, spec, part)
+        for part in (slice(0, columns // 3), slice(columns // 3, None)):
+            multiply_columns(spec, part, *factors)
+        for part in rows:
+            invert_rows(spec, out, part)
         assert out.tobytes() == expected.tobytes()
 
 
