@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 IO/corrupt file,
 130 interrupted (SIGINT).
 All numbers print with 17 significant digits.
+
+run, energy, dipole and render --stack work on two threads when a field
+takes at least 1 MiB and two CPUs are offered (``dynamics._Workers``, taken
+as a ``with`` item, whose end stops the helper); their output is bitwise
+that of one thread.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import analysis, dynamics, initcond, radial, storage
 from .energy import charge_density, total_energy
 from .errors import CorruptCheckpointError, DivergenceError, PacokError
-from .grid import Field, translate
+from .grid import Field, apply_multiplier, spectrum_buffer, translation
 
 
 def _fmt(x: float) -> str:
@@ -154,7 +159,8 @@ def _cmd_run(args) -> int:
 def _cmd_energy(args) -> int:
     cfg = storage.load_config(args.config)
     state = _read_state(args.checkpoint, cfg)
-    breakdown = total_energy(state.u, state.v, cfg.params)
+    with dynamics._Workers.for_grid(state.u.grid) as workers:
+        breakdown = total_energy(state.u, state.v, cfg.params, schedule=workers)
     mass_u, mass_v = breakdown.masses
     print(f"perimeter {_fmt(breakdown.perimeter)}")
     print(f"nonlocal {_fmt(breakdown.nonlocal_)}")
@@ -209,18 +215,30 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-def _load_points(args) -> np.ndarray:
+def _read_points(path) -> list[list[float]]:
+    """The (m, ratio) rows of a points file: two finite numbers a line,
+    separated by a comma or blanks. Blank lines are skipped, and the first
+    line may be a header, one with a field that is not a number; any other
+    line is a ValueError that names the file and the line."""
     points = []
-    if args.points:
-        for line in Path(args.points).read_text().strip().splitlines():
-            parts = line.replace(",", " ").split()
-            if not parts:
-                continue
-            try:
-                values = [float(p) for p in parts[:2]]
-            except ValueError:
-                continue  # header line
-            points.append(values)
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        parts = line.replace(",", " ").split()
+        if not parts:
+            continue
+        try:
+            values = [float(part) for part in parts]
+        except ValueError:
+            if number == 1:
+                continue  # the header
+            values = []
+        if len(values) != 2 or not np.isfinite(values).all():
+            raise ValueError(f"{path} line {number}: expected two finite numbers, got {line!r}")
+        points.append(values)
+    return points
+
+
+def _load_points(args) -> np.ndarray:
+    points = _read_points(args.points) if args.points else []
     if args.from_traces:
         for trace_file in args.from_traces:
             columns = storage.read_trace(trace_file)
@@ -247,7 +265,8 @@ def _cmd_render(args) -> int:
         flag = "--stack" if args.stack else "--index"
         raise ValueError(f"{flag} needs a 3-D checkpoint; a 2-D one renders as a single image")
     if args.stack:
-        count = storage.render_stack(state.u, state.v, args.axis, args.out)
+        with dynamics._Workers.for_grid(state.u.grid) as workers:
+            count = storage.render_stack(state.u, state.v, args.axis, args.out, workers)
         print(f"wrote {count} planes to {Path(args.out).parent}")
         return 0
     storage.render_cross_section(state.u, state.v, (args.axis, args.index), args.out)
@@ -258,14 +277,21 @@ def _cmd_render(args) -> int:
 def _cmd_dipole(args) -> int:
     cfg = storage.load_config(args.config)
     state = _read_state(args.checkpoint, cfg)
+    grid = state.u.grid
     w = charge_density(state.u, state.v, cfg.params)
-    w = Field(state.u.grid, w - w.mean())
-    shift = analysis.zero_dipole_shift(w)
-    # apply the same translation to both phases
-    shifted_u = translate(state.u, shift)
-    shifted_v = translate(state.v, shift)
-    moved = dynamics.RunState(u=shifted_u, v=shifted_v, time=state.time, step=state.step)
-    storage.write_checkpoint(args.out, moved)
+    w -= w.mean()
+    shift = analysis.zero_dipole_shift(Field(grid, w))
+    del w
+    # the same translation of both phases, one beside the other, in place:
+    # the checkpoint's arrays are this command's own
+    phases = translation(grid, shift)
+    specs = spectrum_buffer(grid), spectrum_buffer(grid)
+    u, v = state.u.values, state.v.values
+    with dynamics._Workers.for_grid(grid) as workers:
+        workers.pair(lambda: apply_multiplier(grid, u, *phases, spec=specs[0], out=u),
+                     lambda: apply_multiplier(grid, v, *phases, spec=specs[1], out=v))
+    storage.write_checkpoint(args.out, dynamics.RunState(
+        u=Field(grid, u), v=Field(grid, v), time=state.time, step=state.step))
     print("shift " + " ".join(_fmt(t) for t in shift))
     print(f"wrote {args.out}")
     return 0

@@ -50,8 +50,10 @@ SLAB_BYTES = 256 * 1024
 #: CPUs. In the sweep of README "Threads" two were slower at 128^2 (128 KiB,
 #: 0 of 6 pairs faster) and faster in 5 of 6 pairs at 256^2 (512 KiB), in 6 of
 #: 6 at 48^3 (864 KiB: 4.65 against 7.32 ms per step) and at 64^3 (2 MiB).
-#: 48^3 stays inline: with an earlier schedule an energy every 20 steps made
-#: two workers slower there, 12.5-14.1 against 10.6-11.6 ms per step.
+#: 48^3 and 256^2 stay inline all the same: with the energy on both workers
+#: too, an energy every 20 steps read 4.85 against 7.51 ms per step at 48^3
+#: and 2.47 against 3.39 at 256^2, two faster in 6 of 6 pairs each, but the
+#: threshold has not been moved since the sweep that set it.
 TWO_WORKER_BYTES = 1 << 20
 
 
@@ -113,7 +115,8 @@ class _Workers:
     """Walks a field's slabs and runs the independent halves of a step's
     work: both on the calling thread, in order, or, with ``two``, the second
     on one helper thread while the first runs here. It is the schedule an
-    :class:`~pacok.energy.ExplicitForce` call takes.
+    :class:`~pacok.energy.ExplicitForce`, :func:`~pacok.energy.total_energy`
+    or :func:`~pacok.storage.render_stack` call takes.
 
     The slabs are axis-0 slices that cut a float64 field into as few runs of
     whole planes as keep each within :data:`SLAB_BYTES`, as equal as the
@@ -125,13 +128,19 @@ class _Workers:
     ``two``.
 
     The helper is one thread fed through two ``queue.SimpleQueue``: a call
-    to hand over, then its outcome back. It starts at the first call that
-    needs it and stops when the ``with`` block ends, after the call it
-    holds, so a run that takes no step starts no thread. It runs each call
-    in a copy of the caller's context, and so under the caller's
-    ``np.errstate``: numpy keeps that in a context variable, which a thread
-    does not inherit. numpy releases the interpreter lock inside its
-    ufuncs, reductions and FFTs, so the two threads drive both cores.
+    to hand over, then its outcome back. It starts at the first ``pair``
+    inside the ``with`` block and stops when the block ends, after the call
+    it holds. Outside the block ``pair`` runs both calls here, so no thread
+    outlives the block. It runs each call in a copy of the caller's
+    context, and so under the caller's ``np.errstate``: numpy keeps that in
+    a context variable, which a thread does not inherit. numpy releases the
+    interpreter lock inside its ufuncs, reductions and FFTs, and zlib while
+    it compresses, so the two threads drive both cores.
+
+    A call handed to the helper writes its results only into arrays
+    allocated on the calling thread, and allocates no more than small
+    temporaries itself: what the helper allocates stays in its own malloc
+    arena and raises the peak resident memory (README, "Memory of a run").
     """
 
     def __init__(self, grid: GridSpec, two: bool = False):
@@ -142,6 +151,7 @@ class _Workers:
         half = grid.spectrum_shape[1] // 2
         self.columns = (slice(0, half), slice(half, None)) if two else (slice(None),)
         self.two = two
+        self._open = False
         self._helper = None
 
     @classmethod
@@ -151,9 +161,11 @@ class _Workers:
         return cls(grid, 8 * grid.size >= TWO_WORKER_BYTES and _cpu_count() >= 2)
 
     def __enter__(self) -> "_Workers":
+        self._open = True
         return self
 
     def __exit__(self, *exc) -> None:
+        self._open = False
         if self._helper is not None:
             self._calls.put(None)
             self._helper.join()
@@ -169,8 +181,9 @@ class _Workers:
             self._outcomes.put(outcome)
 
     def pair(self, first, second) -> tuple:
-        """``(first(), second())``; returns or raises only when both are done."""
-        if not self.two:
+        """``(first(), second())``; returns or raises only when both are done.
+        Inline, or outside the ``with`` block, both run here in turn."""
+        if not (self.two and self._open):
             return first(), second()
         if self._helper is None:
             import queue
@@ -226,11 +239,15 @@ class _Stepper:
        and the v residual in the memory of ``spec_v`` once the v solve is
        done.
 
-    :meth:`energy` evaluates in ``work`` and ``spec``. Neither allocates
-    anything field-sized: a warm 32^3 step peaks at ~0.13 MB under
-    tracemalloc, numpy's cast buffer for ``spec *= inv_den``, against
-    0.26 MB per field; a warm two-worker 64^3 step at ~0.36 MB, the cast
-    buffers of the strided column halves, against 2 MiB per field.
+    :meth:`energy` runs :func:`~pacok.energy.total_energy` on ``workers``
+    in buffers that are free between steps: ``work``, with ``spec_v`` laid
+    over it, ``spec``, and the u buffer that the next step writes. So it
+    overwrites u of the state before the last step, which the next step
+    would overwrite too. Neither method allocates anything field-sized: a
+    warm 32^3 step peaks at ~0.13 MB under tracemalloc, numpy's cast
+    buffer for ``spec *= inv_den``, against 0.26 MB per field; a warm
+    two-worker 64^3 step at ~0.36 MB, the cast buffers of the strided
+    column halves, against 2 MiB per field.
     """
 
     def __init__(self, state: RunState, params: PhysParams, cfg: StepperConfig, workers=None):
@@ -284,10 +301,11 @@ class _Stepper:
         return float(change)
 
     def energy(self) -> EnergyBreakdown:
-        """The energy of (u, v), evaluated in the force's scratch."""
-        a, b, _ = self.force.work
+        """The energy of (u, v), evaluated on ``workers`` in the force's
+        scratch and the next step's u buffer."""
+        buffers = self.force.work[2], self._pairs[0][0], self.force.spec, self.spec_v
         return total_energy(Field(self.grid, self.u), Field(self.grid, self.v), self.params,
-                            (a, b, self.force.spec))
+                            buffers, self.workers)
 
 
 def run(
@@ -320,11 +338,11 @@ def run(
     DivergenceError is raised when a step produces a non-finite sample or
     an energy overflows or is not finite.
 
-    Threads: a field of at least :data:`TWO_WORKER_BYTES` steps on this
-    thread and one helper when two CPUs are offered (:class:`_Workers`).
-    The helper starts at the first step and stops before ``run`` returns or
-    raises; the callbacks run on this thread. Every output is bitwise that
-    of the inline path.
+    Threads: a field of at least :data:`TWO_WORKER_BYTES` steps, and has
+    its energies evaluated, on this thread and one helper when two CPUs are
+    offered (:class:`_Workers`). The helper starts at the first step or
+    energy and stops before ``run`` returns or raises; the callbacks run on
+    this thread. Every output is bitwise that of the inline path.
     """
     grid = state.u.grid
     workers = _Workers.for_grid(grid)
@@ -361,9 +379,9 @@ def run(
             if check_stationary and residual < cfg.stop_tol:
                 reason = "stationary"
                 break
+        nstep, time = state.step + done, state.time + done * cfg.dt
+        energy = _energy(nstep)
 
-    nstep, time = state.step + done, state.time + done * cfg.dt
-    energy = _energy(nstep)
     if on_trace is not None:
         on_trace(nstep, time, energy, residual)
     u, v = stepper.u, stepper.v

@@ -15,9 +15,9 @@ gradient of W is continuous.
 
 :func:`total_energy` is the one evaluation of E; its :class:`EnergyBreakdown`
 carries the four terms, the total and the masses int f(u), int f(v). It takes
-three FFTs and writes through two field buffers and one half-spectrum buffer,
-which the caller may lend: a run's stepper lends its force's scratch, so the
-energies of a run allocate nothing field-sized.
+three FFTs, two of them beside the rest when a schedule runs both parts at
+once, and writes through buffers the caller may lend: a run's stepper lends
+its scratch, so the energies of a run allocate nothing field-sized.
 """
 
 from __future__ import annotations
@@ -149,70 +149,15 @@ def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
     """w = f(u) - f(v)/zeta, the source of the electrostatic potential."""
     require_same_grid(u, v)
     f, _ = interpolant_pair(params)
-    return f(u.values) - f(v.values) / params.zeta
-
-
-def _well_integral(grid: GridSpec, u: np.ndarray, v: np.ndarray,
-                   a: np.ndarray, b: np.ndarray) -> float:
-    """int W(u, v) through the scratch fields ``a`` and ``b``, with no temporaries.
-
-    W = 18(u-u^2)^2 + (27/2)[min(v,0)^2 + min(1-v,0)^2 + min(1-u-v,0)^2]
-      = 18 s^2 + 13.5((v - clip(v, 0, 1))^2 + overlap^2) with s = u - u^2 and
-    overlap = max(u + v - 1, 0): the two one-sided v penalties (at most one
-    nonzero) fold into one square. Each of the three integrals is one ``vdot``.
-    """
-    np.multiply(u, u, out=a)
-    np.subtract(u, a, out=a)
-    well = np.vdot(a, a)
-    np.clip(v, 0.0, 1.0, out=b)
-    np.subtract(v, b, out=b)
-    outside = np.vdot(b, b)
-    np.add(u, v, out=b)
-    b -= 1.0
-    np.maximum(b, 0.0, out=b)
-    overlap = np.vdot(b, b)
-    return grid.cell_volume * float(18.0 * well + 13.5 * (outside + overlap))
-
-
-def total_energy(u: Field, v: Field, params: PhysParams, buffers=None) -> EnergyBreakdown:
-    """P, N, C, R, E and the masses; f(u) and f(v) once each, three FFTs.
-
-    ``buffers`` is (a, b, spec): two C-contiguous float64 arrays shaped
-    ``grid.shape`` and one complex128 array shaped ``grid.spectrum_shape``,
-    all overwritten and none aliasing u or v. Without it the call allocates
-    them, and nothing else field-sized.
-
-    f(u) and f(v) go into a and b and give the masses; the charge density
-    w = f(u) - f(v)/zeta replaces f(u), and N = (1/2)*int w*(-lap)^(-1) w,
-    with the multiplier 1/|k|^2 formed in b. N and the Dirichlet integrals of
-    u and v are the grid's quadratic forms, each transforming into ``spec``
-    and squaring in a; int W is three dot products (:func:`_well_integral`).
-    """
-    grid = require_same_grid(u, v)
-    if buffers is None:
-        buffers = (np.empty(grid.shape), np.empty(grid.shape), spectrum_buffer(grid))
-    a, b, spec = buffers
-    uu, vv = u.values, v.values
-    f, _ = interpolant_pair(params)
-    masses = integrate_array(grid, f(uu, out=a)), integrate_array(grid, f(vv, out=b))
-    b /= params.zeta
-    a -= b
-    nonlocal_ = 0.5 * quadratic_form(grid, a, _inv_k_squared(grid, b), spec, a)
-    grad_u = quadratic_form(grid, uu, _k_squared(grid), spec, a)
-    grad_v = quadratic_form(grid, vv, _k_squared(grid), spec, a)
-    eps = params.epsilon
-    perimeter = 0.5 * eps * grad_u + _well_integral(grid, uu, vv, a, b) / eps
-    constraint = 0.5 * params.K1 * (params.mass - masses[0]) ** 2 + 0.5 * params.K2 * (
-        params.zeta * params.mass - masses[1]
-    ) ** 2
-    v_regularization = params.v_reg * grad_v
-    return EnergyBreakdown.assemble(perimeter, nonlocal_, constraint, v_regularization,
-                                    params.gamma, masses)
+    w, fv = f(u.values), f(v.values)
+    w -= np.divide(fv, params.zeta, out=fv)
+    return w
 
 
 class _Whole:
-    """The schedule of an :class:`ExplicitForce` call when none is lent:
-    each phase is one whole-array call on this thread."""
+    """The schedule of a :func:`total_energy` or :class:`ExplicitForce`
+    call when none is lent: each phase is one whole-array call on this
+    thread."""
 
     columns = (slice(None),)
 
@@ -223,6 +168,77 @@ class _Whole:
     @staticmethod
     def pair(first, second) -> tuple:
         return first(), second()
+
+
+def _well_integral(grid: GridSpec, u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> float:
+    """int W(u, v) through the scratch field ``scratch``, with no temporaries.
+
+    W = 18(u-u^2)^2 + (27/2)[min(v,0)^2 + min(1-v,0)^2 + min(1-u-v,0)^2]
+      = 18 s^2 + 13.5((v - clip(v, 0, 1))^2 + overlap^2) with s = u - u^2 and
+    overlap = max(u + v - 1, 0): the two one-sided v penalties (at most one
+    nonzero) fold into one square. Each of the three integrals is one ``vdot``.
+    """
+    np.multiply(u, u, out=scratch)
+    np.subtract(u, scratch, out=scratch)
+    well = np.vdot(scratch, scratch)
+    np.clip(v, 0.0, 1.0, out=scratch)
+    np.subtract(v, scratch, out=scratch)
+    outside = np.vdot(scratch, scratch)
+    np.add(u, v, out=scratch)
+    scratch -= 1.0
+    np.maximum(scratch, 0.0, out=scratch)
+    overlap = np.vdot(scratch, scratch)
+    return grid.cell_volume * float(18.0 * well + 13.5 * (outside + overlap))
+
+
+def total_energy(u: Field, v: Field, params: PhysParams, buffers=None,
+                 schedule=_Whole) -> EnergyBreakdown:
+    """P, N, C, R, E and the masses; f(u) and f(v) once each, three FFTs.
+
+    ``schedule.pair(first, second)`` runs two independent parts and returns
+    when both are done (by default one after the other on this thread):
+
+    1. f(u) and f(v) go into a and b and give the masses, and the charge
+       density w = f(u) - f(v)/zeta replaces f(u); int W is three dot
+       products in b (:func:`_well_integral`); then N = (1/2)*int w*(-lap)^(-1) w
+       is a quadratic form in ``spec``, with the multiplier 1/|k|^2 formed
+       in b;
+    2. the Dirichlet integrals of u and v, quadratic forms in ``grad_spec``.
+
+    ``buffers`` is (a, b, spec, grad_spec): two C-contiguous float64 arrays
+    shaped ``grid.shape`` and two complex128 arrays shaped
+    ``grid.spectrum_shape``, all overwritten, none overlapping another, u
+    or v. Without it the call allocates them, on this thread, and nothing
+    else field-sized.
+    """
+    grid = require_same_grid(u, v)
+    if buffers is None:
+        buffers = (np.empty(grid.shape), np.empty(grid.shape), spectrum_buffer(grid),
+                   spectrum_buffer(grid))
+    a, b, spec, grad_spec = buffers
+    uu, vv = u.values, v.values
+    f, _ = interpolant_pair(params)
+    k2 = _k_squared(grid)
+
+    def charge_and_well():
+        masses = integrate_array(grid, f(uu, out=a)), integrate_array(grid, f(vv, out=b))
+        np.divide(b, params.zeta, out=b)
+        np.subtract(a, b, out=a)
+        well = _well_integral(grid, uu, vv, b)
+        return masses, well, 0.5 * quadratic_form(grid, a, _inv_k_squared(grid, b), spec)
+
+    def gradients():
+        return quadratic_form(grid, uu, k2, grad_spec), quadratic_form(grid, vv, k2, grad_spec)
+
+    (masses, well, nonlocal_), (grad_u, grad_v) = schedule.pair(charge_and_well, gradients)
+    eps = params.epsilon
+    perimeter = 0.5 * eps * grad_u + well / eps
+    constraint = 0.5 * params.K1 * (params.mass - masses[0]) ** 2 + 0.5 * params.K2 * (
+        params.zeta * params.mass - masses[1]
+    ) ** 2
+    v_regularization = params.v_reg * grad_v
+    return EnergyBreakdown.assemble(perimeter, nonlocal_, constraint, v_regularization,
+                                    params.gamma, masses)
 
 
 class ExplicitForce:

@@ -21,8 +21,10 @@ taken over any axis-0 slice (rows) or axis-1 slice (columns) of the field:
 numpy transforms each 1-D line on its own, so the result has the same bits
 however the parts are cut. The standalone operators (:func:`poisson_solve`,
 :func:`laplacian`, :func:`translate` and :func:`dirichlet_energy`) allocate
-a half-spectrum and their result per call. A :class:`GridSpec` describes
-geometry only; how a step walks or threads its fields is the stepper's.
+a half-spectrum and their result per call; a caller that lends them calls
+:func:`apply_multiplier` with the factors (:func:`translation`) itself. A
+:class:`GridSpec` describes geometry only; how a step walks or threads its
+fields is the stepper's.
 """
 
 from __future__ import annotations
@@ -300,11 +302,17 @@ def laplacian(f: Field) -> Field:
     return Field(f.grid, apply_multiplier(f.grid, f.values, -_k_squared(f.grid)))
 
 
+def translation(grid: GridSpec, shift) -> tuple[np.ndarray, ...]:
+    """The factors of f -> f(x + shift) for :func:`apply_multiplier`: one
+    phase exp(i*k*t) per axis, each shaped to broadcast against the
+    half-spectrum; ``shift`` is one length t per axis (x first)."""
+    require_axes("shift", shift, grid.dim)
+    return tuple(np.exp(1j * k * t) for k, t in zip(_wavenumbers(grid), shift))
+
+
 def translate(f: Field, shift) -> Field:
     """f(x + shift) by a Fourier phase shift; ``shift`` is one length per axis (x first)."""
-    require_axes("shift", shift, f.grid.dim)
-    phases = (np.exp(1j * k * t) for k, t in zip(_wavenumbers(f.grid), shift))
-    return Field(f.grid, apply_multiplier(f.grid, f.values, *phases))
+    return Field(f.grid, apply_multiplier(f.grid, f.values, *translation(f.grid, shift)))
 
 
 def integrate(f: Field) -> float:
@@ -322,20 +330,18 @@ def dirichlet_energy(f: Field) -> float:
 
 
 def quadratic_form(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray,
-                   spec: np.ndarray | None = None, scratch: np.ndarray | None = None) -> float:
+                   spec: np.ndarray | None = None) -> float:
     """Integral of g*M(g) over the box by Parseval, for the samples g = ``values``
     and the real symmetric Fourier multiplier M = ``multiplier``.
 
-    The transform goes into ``spec`` (see :func:`spectrum_buffer`), and
-    |g_hat|^2 is formed in the memory of ``scratch``, a C-contiguous float64
-    field buffer that may be ``values`` itself but must not hold
-    ``multiplier``. With both lent the call allocates nothing field-sized;
-    both are overwritten.
+    The transform goes into ``spec`` (see :func:`spectrum_buffer`), which
+    must not hold ``multiplier``, and |g_hat|^2 is formed in place in its
+    real parts; summing them where they lie gives the bits of a contiguous
+    copy. With ``spec`` lent the call allocates nothing field-sized.
     """
     spec = np.fft.rfftn(values, out=spectrum_buffer(grid) if spec is None else spec)
-    square = np.multiply(spec.real, spec.real,
-                         out=None if scratch is None else _half_view(grid, scratch))
-    square += np.multiply(spec.imag, spec.imag, out=None if scratch is None else spec.imag)
+    square = np.multiply(spec.real, spec.real, out=spec.real)
+    square += np.multiply(spec.imag, spec.imag, out=spec.imag)
     square *= multiplier
     # every coefficient stands for its conjugate too, but those of the planes
     # k_x = 0 and k_x = Nyquist (nx is even), which are self-conjugate

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import RunState, StepperConfig
-from .energy import EnergyBreakdown, PhysParams
+from .energy import EnergyBreakdown, PhysParams, _Whole
 from .errors import (CorruptCheckpointError, InvalidFieldError, UnsupportedVersionError,
                      require_nonnegative, whole_number)
 from .grid import Field, GridSpec
@@ -359,11 +359,19 @@ def render_cross_section(u: Field, v: Field, plane, path) -> None:
     write_png(path, phase_colors(u_plane, v_plane)[::-1])
 
 
-def render_stack(u: Field, v: Field, axis_name: str, path) -> int:
-    """Every plane of a 3-D field along ``axis_name``, as PATH_NNN.png; returns their count."""
+def render_stack(u: Field, v: Field, axis_name: str, path, schedule=_Whole) -> int:
+    """Every plane of a 3-D field along ``axis_name``, as PATH_NNN.png; returns their count.
+
+    ``schedule.pair`` renders the even planes beside the odd ones (by
+    default one half after the other on this thread).
+    """
     base = Path(path)
     count = u.grid.points[_AXIS_NAMES[axis_name]]
-    for index in range(count):
-        target = base.with_name(f"{base.stem}_{index:03d}{base.suffix or '.png'}")
-        render_cross_section(u, v, (axis_name, index), target)
+
+    def planes(first):
+        for index in range(first, count, 2):
+            target = base.with_name(f"{base.stem}_{index:03d}{base.suffix or '.png'}")
+            render_cross_section(u, v, (axis_name, index), target)
+
+    schedule.pair(lambda: planes(0), lambda: planes(1))
     return count

@@ -282,6 +282,47 @@ class TestDipole:
         assert (moved.time, moved.step) == (state.time, state.step)
 
 
+GRID64 = pk.GridSpec((64, 64, 64), (2.0, 2.0, 2.0))  # 2 MiB fields: two workers on two CPUs
+
+
+class TestTwoWorkers:
+    def test_outputs_are_bitwise_those_of_one_cpu(self, tmp_path, capsys, monkeypatch):
+        # energy, dipole and render --stack, each on its own helper thread when
+        # two CPUs are offered, and none left running after the command
+        checkpoint, config = tmp_path / "s.okpf", _config_on(GRID64, tmp_path / "run.json")
+        _random_checkpoint(checkpoint, GRID64, seed=5)
+        started = []
+        original = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        outputs = []
+        for count in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+            out = tmp_path / f"cpus{count}"
+            out.mkdir()
+            printed = []
+            for argv in (["energy", "--config", str(config), "--checkpoint", str(checkpoint)],
+                         ["dipole", "--config", str(config), "--checkpoint", str(checkpoint),
+                          "--out", str(out / "m.okpf")],
+                         ["render", "--checkpoint", str(checkpoint), "--out", str(out / "p.png"),
+                          "--stack"]):
+                before = threading.active_count()
+                assert main(argv) == 0
+                assert threading.active_count() == before
+                printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            outputs.append((printed, files, len(started)))
+        (printed1, files1, started1), (printed2, files2, started2) = outputs
+        assert started1 == 0 and started2 == 3
+        assert printed1 == printed2 and printed1[0].startswith("perimeter ")
+        assert len(files1) == 1 + 64 and files1 == files2
+
+
 class TestRoots:
     def test_prints_thresholds(self, capsys):
         assert main(["roots"]) == 0
@@ -738,6 +779,31 @@ class TestFit:
         assert main(["fit", "--points", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("bad,number", [("3,14.3O", 4), ("4", 5), ("m,ratio", 2),
+                                            ("3,14,2", 4), ("3 inf", 4)],
+                             ids=["typo", "one-column", "second-header", "three-columns", "inf"])
+    def test_a_bad_data_line_exits_one_naming_it(self, capsys, tmp_path, bad, number):
+        # only the first line may be a header; no data line is skipped or misread
+        rows = ["m,ratio", "1,15", "2,14.5", "3,14.3", "4,14.2", "5,14.1"]
+        rows[number - 1] = bad
+        path = tmp_path / "points.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--points", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path} line {number}: expected two finite numbers, "
+                                f"got {bad!r}\n")
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "points.csv"
+        rows = [f"{m},{15 + 2 * m**-2}" for m in (0.4, 0.6, 0.8, 1.0, 1.2)]
+        path.write_text("\n".join(rows))
+        assert main(["fit", "--points", str(path)]) == 0
+        dense = capsys.readouterr().out
+        path.write_text("\n\n".join(["m,ratio", *rows]) + "\n\n")
+        assert main(["fit", "--points", str(path)]) == 0
+        assert capsys.readouterr().out == dense
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_fix_p_exits_one(self, capfd, tmp_path, value):

@@ -469,6 +469,41 @@ class TestTwoWorkers:
         assert changes1 == changes2
 
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
+    @pytest.mark.parametrize("grid", [GRID64, GRID384], ids=["64^3", "384^2"])
+    def test_energy_is_bitwise_the_inline_energy(self, grid, interpolant):
+        state, params = _noisy_shell(grid, interpolant)
+        inline = pk.total_energy(state.u, state.v, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _Workers(grid, two=True) as workers:
+                assert pk.total_energy(state.u, state.v, params, schedule=workers) == inline
+                stepper = _Stepper(state, params, CFG, workers)
+                assert stepper.energy() == inline
+                assert workers._helper is not None
+        finally:
+            sys.setswitchinterval(interval)
+        assert _Stepper(state, params, CFG).energy() == inline
+
+    def test_a_warm_two_worker_energy_allocates_less_than_a_field(self):
+        state, params = _noisy_shell(GRID64, "cubic")
+        with _Workers(GRID64, two=True) as workers:
+            stepper = _Stepper(state, params, CFG, workers)
+            stepper.advance()
+            stepper.energy()  # warm numpy's FFT plans and the helper
+            assert peak_bytes(stepper.energy) < 8 * GRID64.size
+
+    def test_pair_outside_the_with_block_runs_inline(self):
+        # a stray pair starts no thread that no block's end would join
+        workers = _Workers(GRID64, two=True)
+        before, here = threading.active_count(), threading.get_ident()
+        assert workers.pair(threading.get_ident, threading.get_ident) == (here, here)
+        with workers:
+            assert workers.pair(threading.get_ident, threading.get_ident)[1] != here
+        assert workers.pair(threading.get_ident, threading.get_ident) == (here, here)
+        assert workers._helper is None and threading.active_count() == before
+
+    @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
     def test_force_and_derivatives_are_bitwise_the_whole_array_force(self, interpolant):
         state, params = _noisy_shell(GRID64, interpolant)
         u, v = state.u.values, state.v.values
@@ -536,7 +571,8 @@ class TestTwoWorkers:
         cpus(1)
         assert not _Workers.for_grid(grid).two
 
-    @pytest.mark.parametrize("count,max_steps,threads", [(1, 2, 0), (2, 2, 1), (2, 0, 0)],
+    # a zero-step run evaluates its one energy on both workers
+    @pytest.mark.parametrize("count,max_steps,threads", [(1, 2, 0), (2, 2, 1), (2, 0, 1)],
                              ids=["one-cpu", "two-cpus", "zero-steps"])
     def test_threads_started(self, cpus, count, max_steps, threads):
         state, params = _noisy_shell(GRID64, "cubic")

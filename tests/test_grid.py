@@ -184,8 +184,7 @@ class TestDirichletEnergy:
         f = pk.Field(grid, rng.normal(size=grid.shape))
         by_parts = pk.integrate(pk.Field(grid, f.values * (-pk.laplacian(f).values)))
         assert pk.dirichlet_energy(f) == pytest.approx(by_parts, rel=1e-12)
-        lent = quadratic_form(grid, f.values, _k_squared(grid), spectrum_buffer(grid),
-                              np.empty(grid.shape))
+        lent = quadratic_form(grid, f.values, _k_squared(grid), spectrum_buffer(grid))
         assert lent == pk.dirichlet_energy(f)
 
     def test_nonnegative_zero_iff_constant(self, rng):
@@ -306,14 +305,30 @@ class TestLentBuffers:
                                         out=in_place) is in_place
                 assert in_place.tobytes() == expected.values.tobytes()
         for multiplier in (_k_squared(grid), _inv_k_squared(grid)):
-            fresh = quadratic_form(grid, f.values, multiplier)
-            assert quadratic_form(grid, f.values, multiplier, spec, out) == fresh
-            in_place = f.values.copy()  # scratch is values: total_energy's form for N
-            assert quadratic_form(grid, in_place, multiplier, spec, in_place) == fresh
+            assert quadratic_form(grid, f.values, multiplier, spec) == \
+                quadratic_form(grid, f.values, multiplier)
         # 1/|k|^2 formed in a lent field buffer, as total_energy forms it
         held = np.full(grid.shape, np.nan)
-        assert quadratic_form(grid, f.values, _inv_k_squared(grid, held), spec, out) == \
+        assert quadratic_form(grid, f.values, _inv_k_squared(grid, held), spec) == \
             quadratic_form(grid, f.values, _inv_k_squared(grid))
+
+    @pytest.mark.parametrize("points", [(64, 64, 64), (48, 32, 16), (40, 24, 18), (384, 384),
+                                        (128, 128), (100, 100, 10), (512, 512, 4)])
+    def test_squares_in_the_spectrum_are_the_contiguous_squares(self, rng, points):
+        # the squares are summed where they lie, 16 bytes apart, with the bits
+        # of a contiguous array of them
+        grid = pk.GridSpec(points, (2.0,) * len(points))
+        for multiplier in (_k_squared(grid), _inv_k_squared(grid)):
+            for scale in (1e-3, 1.0, 1e3):
+                values = scale * rng.normal(size=grid.shape)
+                spec = np.fft.rfftn(values)
+                square = spec.real * spec.real
+                square += spec.imag * spec.imag
+                square *= multiplier
+                total = 2.0 * float(square.sum()) - float(square[..., 0].sum()) - float(
+                    square[..., -1].sum())
+                assert quadratic_form(grid, values, multiplier) == \
+                    grid.cell_volume / grid.size * total
 
     @pytest.mark.parametrize("grid", [pk.GridSpec((256, 256), (2.6, 2.6)),
                                       pk.GridSpec((32, 32, 32), (2.0, 2.0, 2.0))],
@@ -323,8 +338,8 @@ class TestLentBuffers:
         spec, scratch = spectrum_buffer(grid), np.empty(grid.shape)
         inv_k2, k2 = _inv_k_squared(grid), _k_squared(grid)
         calls = [lambda: apply_multiplier(grid, values, inv_k2, spec=spec, out=values),
-                 lambda: quadratic_form(grid, values, k2, spec, scratch),
-                 lambda: quadratic_form(grid, values, _inv_k_squared(grid, scratch), spec, values)]
+                 lambda: quadratic_form(grid, values, k2, spec),
+                 lambda: quadratic_form(grid, values, _inv_k_squared(grid, scratch), spec)]
         for call in calls:
             call()  # warm numpy's FFT plan cache
             assert peak_bytes(call) < values.nbytes

@@ -1,5 +1,7 @@
 """Layering: the Fourier basis is defined in grid.py alone, threads are
 started in dynamics.py alone, and a run's arrays are its stepper's alone.
+Other modules borrow the stepper's workers (``dynamics._Workers``) only as
+the item of a ``with`` statement, whose end stops the helper thread.
 
 Every other module sees only Fourier multipliers and the grid functions that
 apply them, so a change of basis (say, to cosine transforms for mirror
@@ -126,6 +128,28 @@ def concurrency_imports(tree: ast.Module) -> set[str]:
     return names
 
 
+def loose_workers(tree: ast.Module) -> list[int]:
+    """Lines that name ``_Workers`` other than to construct it, as
+    ``_Workers(...)`` or ``_Workers.for_grid(...)`` through any module path,
+    in the item of a ``with`` statement; an import that renames it counts."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if isinstance(item.context_expr, ast.Call):
+                    func = item.context_expr.func
+                    if isinstance(func, ast.Attribute) and func.attr == "for_grid":
+                        func = func.value
+                    allowed.add(id(func))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "_Workers"
+                 or isinstance(node, ast.Attribute) and node.attr == "_Workers")
+             and id(node) not in allowed]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names if alias.name == "_Workers" and alias.asname]
+    return sorted(lines)
+
+
 def workspace_reads(tree: ast.Module) -> list[int]:
     """Lines that read a ``.work`` or ``.spec`` attribute, the force's
     workspace, outside the methods of a class named ``_Stepper``."""
@@ -211,6 +235,24 @@ def test_concurrency_import_detector_sees_each_form():
               "import numpy.threading_free\nfrom . import threading_helpers\n")
     assert concurrency_imports(ast.parse(source)) == {
         "threading", "concurrent.futures", "multiprocessing"}
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "dynamics.py"])
+def test_workers_are_made_only_as_with_items(name):
+    assert loose_workers(ast.parse((SRC / name).read_text())) == []
+
+
+def test_loose_workers_detector_sees_each_form():
+    source = ("from . import dynamics\nfrom .dynamics import _Workers as W\n"
+              "with dynamics._Workers.for_grid(g) as w:\n    pass\n"
+              "with _Workers(g, True) as w, open(p) as f:\n    pass\n"
+              "workers = dynamics._Workers.for_grid(g)\n"
+              "with workers:\n    pass\n"
+              "_Workers(g).pair(f, h)\n"
+              "make = dynamics._Workers\n"
+              "with dynamics._Workers.for_grid(g).pair(a, b):\n    pass\n"
+              "with dynamics._Workers.two:\n    pass\n")
+    assert loose_workers(ast.parse(source)) == [2, 7, 10, 11, 12, 14]
 
 
 @pytest.mark.parametrize("name", [name for name in MODULES if name != "energy.py"])
