@@ -1,7 +1,9 @@
 """Command-line surface: run | energy | radial | roots | fit | render | dipole.
 
 Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 IO/corrupt file,
-130 interrupted (SIGINT).
+130 interrupted (SIGINT). A diverged run writes ``ckpt_lastgood.okpf``, the
+last state whose samples are finite, before it exits 2 (still 2, with an io
+error line first, when that write fails).
 All numbers print with 17 significant digits.
 
 run, energy, dipole and render --stack work on two threads when a field
@@ -146,8 +148,15 @@ def _cmd_run(args) -> int:
     # a diverging run overflows on its way to the non-finite sample or energy
     # that run() reports as DivergenceError; numpy's warnings would only precede it
     with np.errstate(over="ignore", invalid="ignore"):
-        result = dynamics.run(state, cfg.params, cfg.stepper, on_trace=on_trace,
-                              on_checkpoint=on_checkpoint)
+        try:
+            result = dynamics.run(state, cfg.params, cfg.stepper, on_trace=on_trace,
+                                  on_checkpoint=on_checkpoint)
+        except DivergenceError as exc:  # keep the last state with finite samples, then exit 2
+            try:
+                storage.write_checkpoint(out_dir / "ckpt_lastgood.okpf", exc.state)
+            except OSError as failed:  # the divergence stays the run's outcome
+                print(f"io error: {failed}", file=sys.stderr)
+            raise
     storage.write_checkpoint(out_dir / "ckpt_final.okpf", result.state)
     energy = result.energy.total
     print(f"terminated: {result.reason} after step {result.state.step}")

@@ -4,8 +4,9 @@ The flow is du/dt = -L1 dE/du, dv/dt = -L2 dE/dv (pACOK dynamics). The well
 splits as W = W1 + W2 with the convex quadratic W1 = 87u^2/2 + 27uv + 27v^2;
 diffusion and the diagonal pieces (87/eps)u, (54/eps)v of grad W1 are implicit,
 everything else (cross terms, grad W2, nonlocal coupling, mass penalties) is
-the explicit force (F_u, F_v) of :class:`~pacok.energy.ExplicitForce` at the
-old state. Each Fourier mode then updates by a scalar division:
+the explicit force (F_u, F_v) at the old state. Each Fourier mode of the
+half-step z - lam*F, which :class:`~pacok.energy.ExplicitForce` writes, then
+updates by a scalar division (lam = dt*L):
 
     u+ = (u - dt*L1*F_u)^ / (1 + dt*L1*(eps|k|^2 + 87/eps))
     v+ = (v - dt*L2*F_v)^ / (1 + dt*L2*(2*v_reg|k|^2 + 54/eps))
@@ -219,8 +220,8 @@ class _Stepper:
     arrays and is only read; two buffer pairs that u+ and v+ alternate
     between; the explicit force, with its scratch fields ``work`` and
     half-spectrum ``spec``; and the Fourier multipliers 1/den_u and 1/den_v.
-    The state before the last step (the input, after the first) stays
-    intact until the next step overwrites it.
+    A step only reads (u, v), so the state before the last step (the input,
+    after the first) is intact until the next step or :meth:`energy` writes.
 
     :meth:`advance` costs six FFTs in four phases, each one hand-off
     (``pair``) of ``workers`` (a :class:`_Workers`, inline by default), so
@@ -230,14 +231,14 @@ class _Stepper:
        the charge density over all but axis 0, slab by slab;
     2. columns: the Poisson solve along axis 0, half the columns on each
        side, beside one mass sum each;
-    3. rows: the inverse into phi, F, and z - lam*F in F's memory;
+    3. rows: the inverse into phi and the half-step z - lam*F into the next pair;
     4. the u solve and max|u+ - u| beside the v solve and max|v+ - v|.
        Each solve applies 1/den in the output's memory: the u solve
        transforms into ``spec``, the v solve into ``spec_v``, a
        half-spectrum laid over ``work``, which is free by then. The u
-       residual is formed in phi's memory, which ``spec_v`` leaves alone,
-       and the v residual in the memory of ``spec_v`` once the v solve is
-       done.
+       residual is formed slab by slab in phi's memory, which ``spec_v``
+       leaves alone, and the v residual in the memory of ``spec_v`` once
+       the v solve is done.
 
     :meth:`energy` runs :func:`~pacok.energy.total_energy` on ``workers``
     in buffers that are free between steps: ``work``, with ``spec_v`` laid
@@ -254,46 +255,32 @@ class _Stepper:
         grid = self.grid = state.u.grid
         self.params = params
         self.u, self.v = state.u.values, state.v.values
-        self.force = ExplicitForce(grid, params)
+        lam_u, lam_v = cfg.dt * cfg.L1, cfg.dt * cfg.L2
+        self.force = ExplicitForce(grid, params, (lam_u, lam_v))
         self.spec_v = spectrum_buffer(grid, self.force.work)
         self.workers = _Workers(grid) if workers is None else workers
         k2 = _k_squared(grid)
         eps = params.epsilon
-        self.lam_u = cfg.dt * cfg.L1
-        self.lam_v = cfg.dt * cfg.L2
-        self.inv_den_u = 1.0 / (1.0 + self.lam_u * (eps * k2 + A_UU / eps))
-        self.inv_den_v = 1.0 / (1.0 + self.lam_v * (2.0 * params.v_reg * k2 + A_VV / eps))
+        self.inv_den_u = 1.0 / (1.0 + lam_u * (eps * k2 + A_UU / eps))
+        self.inv_den_v = 1.0 / (1.0 + lam_v * (2.0 * params.v_reg * k2 + A_VV / eps))
         # after the multipliers, whose temporaries would otherwise raise the peak
         self._pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
 
     def advance(self) -> float:
         """One step: (u, v) moves to (u+, v+); returns max(|u+ - u|, |v+ - v|),
         NaN or inf when a field holds one."""
-        grid, workers = self.grid, self.workers
-        u, v = self.u, self.v
+        grid, u, v = self.grid, self.u, self.v
         out_u, out_v = self._pairs[0]
-
-        def explicit_part(s):  # z - lam*F, in F's memory
-            for z, out, lam in ((u, out_u, self.lam_u), (v, out_v, self.lam_v)):
-                block = out[s]
-                block *= -lam
-                block += z[s]
-
-        self.force(u, v, out_u, out_v, workers, then=explicit_part)
+        self.force(u, v, out_u, out_v, self.workers)
         work = self.force.work
 
         def solve(z, out, inv_den, spec, scratch):
             apply_multiplier(grid, out, inv_den, spec=spec, out=out)
-            maxima = []
-            for s in workers.slabs:
-                change = scratch[s]
-                np.subtract(out[s], z[s], out=change)
-                np.abs(change, out=change)
-                maxima.append(change.max())
-            # np.maximum, unlike max(), keeps a NaN of any slab
-            return functools.reduce(np.maximum, maxima)
+            # slab by slab, while each is in cache; np.max, unlike max(), keeps a NaN
+            return np.max([np.abs(np.subtract(out[s], z[s], out=scratch[s]), out=scratch[s]).max()
+                           for s in self.workers.slabs])
 
-        change = np.maximum(*workers.pair(
+        change = np.maximum(*self.workers.pair(
             lambda: solve(u, out_u, self.inv_den_u, self.force.spec, work[2]),
             lambda: solve(v, out_v, self.inv_den_v, self.spec_v, work[0])))
         self._pairs.reverse()
@@ -336,7 +323,10 @@ def run(
     owns a copy. The result's state holds the last pair (a copy of the
     input when no step was taken, and then the residual is inf).
     DivergenceError is raised when a step produces a non-finite sample or
-    an energy overflows or is not finite.
+    an energy overflows or is not finite. Its ``state`` is the last state
+    whose samples are finite: the state before the step, or the state
+    whose energy it is. It holds the stepper's arrays, which nothing writes
+    once ``run`` has raised.
 
     Threads: a field of at least :data:`TWO_WORKER_BYTES` steps, and has
     its energies evaluated, on this thread and one helper when two CPUs are
@@ -352,14 +342,20 @@ def run(
     reason = "max_steps"
     done = 0
 
+    def _state(u, v, step: int) -> RunState:
+        done = step - state.step
+        return RunState(Field(grid, u), Field(grid, v), state.time + done * cfg.dt, step)
+
     def _energy(step: int) -> EnergyBreakdown:
-        # a non-finite energy is divergence
+        # a non-finite energy is divergence; the state's samples are finite
         try:
             energy = stepper.energy()
         except OverflowError:
-            raise DivergenceError(step, f"energy overflowed at step {step}") from None
+            raise DivergenceError(step, f"energy overflowed at step {step}",
+                                  _state(stepper.u, stepper.v, step)) from None
         if not math.isfinite(energy.total):
-            raise DivergenceError(step, f"non-finite energy at step {step}")
+            raise DivergenceError(step, f"non-finite energy at step {step}",
+                                  _state(stepper.u, stepper.v, step))
         return energy
 
     with workers:
@@ -369,11 +365,12 @@ def run(
                 on_trace(nstep, time, _energy(nstep), residual)
             if on_checkpoint is not None and nstep % cfg.checkpoint_every == 0:
                 # no step writes the input's arrays; later states are copied out
-                on_checkpoint(state if done == 0 else RunState(
-                    Field(grid, stepper.u.copy()), Field(grid, stepper.v.copy()), time, nstep))
+                on_checkpoint(state if done == 0 else
+                              _state(stepper.u.copy(), stepper.v.copy(), nstep))
+            before = stepper.u, stepper.v  # a step only reads them
             change = stepper.advance()
             if not math.isfinite(change):
-                raise DivergenceError(nstep + 1)
+                raise DivergenceError(nstep + 1, state=_state(*before, nstep))
             residual = change / cfg.dt
             done += 1
             if check_stationary and residual < cfg.stop_tol:
@@ -387,7 +384,7 @@ def run(
     u, v = stepper.u, stepper.v
     if done == 0:  # the result owns its arrays: a copy of the input
         u, v = u.copy(), v.copy()
-    return RunResult(state=RunState(Field(grid, u), Field(grid, v), time, nstep), energy=energy,
+    return RunResult(state=_state(u, v, nstep), energy=energy,
                      reason=reason, residual=float(residual) if done else np.inf)
 
 

@@ -157,7 +157,9 @@ def charge_density(u: Field, v: Field, params: PhysParams) -> np.ndarray:
 class _Whole:
     """The schedule of a :func:`total_energy` or :class:`ExplicitForce`
     call when none is lent: each phase is one whole-array call on this
-    thread."""
+    thread. A lent one (:class:`~pacok.dynamics._Workers`) may cut ``split``
+    into axis-0 slabs and ``columns`` into axis-1 parts, and run them and
+    the two calls of a ``pair`` in any order or at once."""
 
     columns = (slice(None),)
 
@@ -176,18 +178,22 @@ def _well_integral(grid: GridSpec, u: np.ndarray, v: np.ndarray, scratch: np.nda
     W = 18(u-u^2)^2 + (27/2)[min(v,0)^2 + min(1-v,0)^2 + min(1-u-v,0)^2]
       = 18 s^2 + 13.5((v - clip(v, 0, 1))^2 + overlap^2) with s = u - u^2 and
     overlap = max(u + v - 1, 0): the two one-sided v penalties (at most one
-    nonzero) fold into one square. Each of the three integrals is one ``vdot``.
+    nonzero) fold into one square. Each of the three integrals is one
+    ``einsum`` sum of squares: numpy's own loop, which, unlike ``vdot``,
+    hands no work to BLAS's threads.
     """
+    axes = "ijk"[:grid.dim]
+    squares = f"{axes},{axes}->"
     np.multiply(u, u, out=scratch)
     np.subtract(u, scratch, out=scratch)
-    well = np.vdot(scratch, scratch)
+    well = np.einsum(squares, scratch, scratch)
     np.clip(v, 0.0, 1.0, out=scratch)
     np.subtract(v, scratch, out=scratch)
-    outside = np.vdot(scratch, scratch)
+    outside = np.einsum(squares, scratch, scratch)
     np.add(u, v, out=scratch)
     scratch -= 1.0
     np.maximum(scratch, 0.0, out=scratch)
-    overlap = np.vdot(scratch, scratch)
+    overlap = np.einsum(squares, scratch, scratch)
     return grid.cell_volume * float(18.0 * well + 13.5 * (outside + overlap))
 
 
@@ -199,8 +205,8 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None,
     when both are done (by default one after the other on this thread):
 
     1. f(u) and f(v) go into a and b and give the masses, and the charge
-       density w = f(u) - f(v)/zeta replaces f(u); int W is three dot
-       products in b (:func:`_well_integral`); then N = (1/2)*int w*(-lap)^(-1) w
+       density w = f(u) - f(v)/zeta replaces f(u); int W is three sums of
+       squares in b (:func:`_well_integral`); then N = (1/2)*int w*(-lap)^(-1) w
        is a quadratic form in ``spec``, with the multiplier 1/|k|^2 formed
        in b;
     2. the Dirichlet integrals of u and v, quadratic forms in ``grad_spec``.
@@ -242,7 +248,8 @@ def total_energy(u: Field, v: Field, params: PhysParams, buffers=None,
 
 
 class ExplicitForce:
-    """The explicit part (F_u, F_v) of the variational derivatives.
+    """The explicit half-step (u - lam_u*F_u, v - lam_v*F_v), where (F_u, F_v)
+    is the explicit part of the variational derivatives:
 
         F_u = (W_u - A_UU u)/eps + (gamma*phi - K1(m - int f(u))) f'(u)
         F_v = (W_v - A_VV v)/eps - ((gamma/zeta)*phi + K2(zeta m - int f(v))) f'(v)
@@ -250,60 +257,48 @@ class ExplicitForce:
     with -lap(phi) = f(u) - f(v)/zeta (zero mean), so that
     dE/du = F_u + (A_UU/eps)u - eps*lap u and
     dE/dv = F_v + (A_VV/eps)v - 2*v_reg*lap v. This is the one definition of
-    the force: the time stepper takes it explicitly and
-    :func:`variational_derivatives` adds the linear part back.
+    the force: the stepper makes it with ``lam`` = (dt*L1, dt*L2), and
+    :func:`variational_derivatives` with (-1, -1), which gives z + F.
 
-    The pointwise work is fused. For the cubic f, the terms f, f' and W_u
-    share s = z - z^2: f = z(z + 2s), f' = 6s, W_u = 36s(1-2u) + 27*overlap,
-    and W_v = 27*(overlap + v - clip(v, 0, 1)). A call runs in three phases,
-    with the Poisson solve's two FFTs (1/|k|^2, which the instance keeps, in
-    phi's memory) cut between them by the grid's part-transforms:
+    The pointwise terms are fused, with ``lam`` in their constants. For the
+    cubic f they share s = z - z^2: f = z(z + 2s), f' = 6s,
+    W_u = 36s(1 - 2u) + 27*overlap (in Horner form in u) and
+    W_v = 27(overlap + v - clip(v, 0, 1)), with overlap = max(u + v - 1, 0).
+    A call runs in three phases of ``schedule`` (:class:`_Whole` by default),
+    with the Poisson solve's two FFTs (by 1/|k|^2, which the instance keeps,
+    in phi's memory) cut between them by the grid's part-transforms:
 
     1. rows: s, f(u), f(v) and the charge density, then the density's
        :func:`~pacok.grid.transform_rows`, while the rows are in cache;
     2. columns: the masses, whole-array sums, one on each side of a
        ``pair``, and :func:`~pacok.grid.multiply_columns`, the first of the
        schedule's ``columns`` beside int f(u), the rest beside int f(v);
-    3. rows: :func:`~pacok.grid.invert_rows` into phi, then F, then the
-       caller's ``then`` on the same rows.
+    3. rows: :func:`~pacok.grid.invert_rows` into phi, then the half-step.
 
     Every element sees the same operations in the same order however the
-    phases are cut, so the rows and columns may be taken in any parts, in
-    any order or at once, and leave the result's bits alone.
-
-    A call writes through ``out=`` into the outputs and into a workspace
-    allocated here once: three field buffers ``work`` = (s_u, s_v, phi), one
-    contiguous (3, *shape) array, and one half-spectrum ``spec``. The cubic
-    f(u) and f(v) are formed in the outputs, the charge density, phi and
-    then the overlap share one buffer, and s_v is scratch once its last
-    product is taken; so a call allocates nothing field-sized. Between
-    calls the owner of the instance may use ``work`` and ``spec`` as
-    scratch.
+    phases are cut, so the bits do not depend on the schedule. A call
+    allocates nothing field-sized: it writes into the outputs (the cubic
+    f(u) and f(v) too) and into ``work`` = (s_u, s_v, phi), one (3, *shape)
+    array, and a half-spectrum ``spec``, which the owner of the instance
+    may use as scratch between calls.
     """
 
-    def __init__(self, grid: GridSpec, params: PhysParams):
+    def __init__(self, grid: GridSpec, params: PhysParams, lam: tuple[float, float]):
         self.grid = grid
         self.params = params
+        self.lam = lam
         self.cubic = params.interpolant == "cubic"
         self.inv_k2 = _inv_k_squared(grid)
         self.work = np.empty((3, *grid.shape))
         self.spec = spectrum_buffer(grid)
 
     def __call__(self, u: np.ndarray, v: np.ndarray, out_u: np.ndarray, out_v: np.ndarray,
-                 schedule=_Whole, then=None):
-        """Write F_u into ``out_u`` and F_v into ``out_v``; u and v are read only.
-
-        ``schedule`` runs the phases: ``schedule.split(fn)`` calls ``fn(s)``
-        for axis-0 slices ``s`` that cover the fields once, in whatever order
-        or concurrency it likes, and returns only when every call has;
-        ``schedule.pair(first, second)`` returns ``(first(), second())``,
-        again only when both are done; ``schedule.columns`` is a tuple of
-        axis-1 slices that cover the half-spectrum once. By default each
-        phase is one whole-array call. ``then(s)``, when given, runs on the
-        rows ``s`` as soon as their F is written, before the call returns.
-        """
+                 schedule=_Whole):
+        """Write u - lam_u*F_u into ``out_u`` and v - lam_v*F_v into ``out_v``;
+        u and v are read only."""
         p, grid = self.params, self.grid
         eps, zeta = p.epsilon, p.zeta
+        lam_u, lam_v = self.lam
         s_u, s_v, phi = self.work
         spec, inv_k2 = self.spec, self.inv_k2
         cubic = self.cubic
@@ -337,47 +332,47 @@ class ExplicitForce:
         columns = schedule.columns
         mass_u, mass_v = schedule.pair(lambda: mass(fu, columns[:1]),
                                        lambda: mass(fv, columns[1:]))
-        penalty_u = slope * p.K1 * (p.mass - mass_u)
-        penalty_v = slope * p.K2 * (zeta * p.mass - mass_v)
+        # the couplings a*phi + b, and the well's -36 lam_u s_u/eps with the cubic f
+        a_u, a_v = -lam_u * slope * p.gamma, lam_v * slope * p.gamma / zeta
+        b_u = lam_u * slope * p.K1 * (p.mass - mass_u) - (36.0 * lam_u / eps if cubic else 0.0)
+        b_v = lam_v * slope * p.K2 * (zeta * p.mass - mass_v)
 
-        def force(s):
+        def half_step(s):
             invert_rows(spec, phi, s)
             us, vs, su, sv, ph, ou, ov = u[s], v[s], s_u[s], s_v[s], phi[s], out_u[s], out_v[s]
-            # couplings (nonlocal + mass penalty) times f' = slope*s (or 1)
-            np.multiply(ph, slope * p.gamma, out=ou)
-            ou -= penalty_u
-            np.multiply(ph, -slope * p.gamma / zeta, out=ov)
-            ov -= penalty_v
+            np.multiply(ph, a_u, out=ou)
+            ou += b_u
+            np.multiply(ph, a_v, out=ov)
+            ov += b_v
             if cubic:
-                ou *= su
                 ov *= sv
-
-            # well: overlap = max(u + v - 1, 0) into phi; s_v is scratch from here on
-            overlap, tmp = ph, sv
-            np.add(us, vs, out=overlap)
+            tmp = sv  # s_v is scratch from here on
+            # u: s_u times (the couplings and) 36(2u - 1) lam_u/eps, in Horner form
+            np.multiply(us, 72.0 * lam_u / eps, out=tmp)
+            if cubic:
+                ou += tmp
+                ou *= su
+            else:
+                tmp -= 36.0 * lam_u / eps
+                tmp *= su
+                ou += tmp
+            np.multiply(us, 1.0 + lam_u * A_UU / eps, out=tmp)
+            ou += tmp
+            # overlap = max(u + v - 1, 0), into phi
+            overlap = np.add(us, vs, out=ph)
             overlap -= 1.0
             np.maximum(overlap, 0.0, out=overlap)
-            # (W_v - A_VV v)/eps = (27(overlap - clip(v, 0, 1)) + (27 - A_VV) v)/eps
+            # v: -(27 lam_v/eps)(overlap - clip(v, 0, 1)) + (1 + lam_v(A_VV - 27)/eps) v
             np.clip(vs, 0.0, 1.0, out=tmp)
             np.subtract(overlap, tmp, out=tmp)
-            tmp *= 27.0 / eps
+            tmp *= -27.0 * lam_v / eps
             ov += tmp
-            np.multiply(vs, (27.0 - A_VV) / eps, out=tmp)
+            np.multiply(vs, 1.0 + (A_VV - 27.0) * lam_v / eps, out=tmp)
             ov += tmp
-            # (W_u - A_UU u)/eps = (36 s (1 - 2u) + 27 overlap - A_UU u)/eps
-            np.multiply(us, -2.0, out=tmp)
-            tmp += 1.0
-            tmp *= su
-            tmp *= 36.0 / eps
-            ou += tmp
-            overlap *= 27.0 / eps
+            overlap *= -27.0 * lam_u / eps
             ou += overlap
-            np.multiply(us, A_UU / eps, out=tmp)
-            ou -= tmp
-            if then is not None:
-                then(s)
 
-        schedule.split(force)
+        schedule.split(half_step)
 
 
 def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Field, Field]:
@@ -386,11 +381,13 @@ def variational_derivatives(u: Field, v: Field, params: PhysParams) -> tuple[Fie
     dE/du = -eps*lap u + W_u/eps + gamma*phi*f'(u) - K1(m - int f(u)) f'(u)
     dE/dv = W_v/eps - (gamma/zeta)*phi*f'(v) - K2(zeta m - int f(v)) f'(v)
             - 2*v_reg*lap v
+
+    The force with lam = (-1, -1) gives z + F, to which the rest is added.
     """
     grid = require_same_grid(u, v)
     uu, vv = u.values, v.values
     du, dv = np.empty(grid.shape), np.empty(grid.shape)
-    ExplicitForce(grid, params)(uu, vv, du, dv)
-    du += A_UU / params.epsilon * uu - params.epsilon * laplacian(u).values
-    dv += A_VV / params.epsilon * vv - 2.0 * params.v_reg * laplacian(v).values
+    ExplicitForce(grid, params, (-1.0, -1.0))(uu, vv, du, dv)
+    du += (A_UU / params.epsilon - 1.0) * uu - params.epsilon * laplacian(u).values
+    dv += (A_VV / params.epsilon - 1.0) * vv - 2.0 * params.v_reg * laplacian(v).values
     return Field(grid, du), Field(grid, dv)

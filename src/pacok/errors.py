@@ -28,10 +28,15 @@ class GridMismatchError(PacokError, ValueError):
 
 
 class DivergenceError(PacokError, RuntimeError):
-    """Time stepping produced non-finite samples or a non-finite (overflowing) energy."""
+    """Time stepping produced non-finite samples or a non-finite (overflowing) energy.
 
-    def __init__(self, step: int, message: str | None = None):
+    ``state``, when given, is the last state whose samples are finite (a
+    :class:`~pacok.dynamics.RunState`).
+    """
+
+    def __init__(self, step: int, message: str | None = None, state=None):
         self.step = step
+        self.state = state
         super().__init__(message or f"non-finite field detected at step {step}")
 
 

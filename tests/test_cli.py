@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import pacok as pk
-from pacok import storage
-from pacok.cli import main
+from pacok import dynamics, storage
+from pacok.cli import _initial_state, main
 from pacok.grid import translate
 
 from conftest import decode_png
@@ -481,6 +481,38 @@ class TestRunAndFriends:
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(path)]) == 2
         assert "divergence" in capsys.readouterr().err
+
+    def test_divergence_keeps_the_last_good_state(self, tmp_path, capsys):
+        # step 5's samples are finite, but its energy overflows
+        path = _overflow_repro(tmp_path)
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path)]) == 2
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ckpt_00000000.okpf", "ckpt_lastgood.okpf", "trace.csv"]
+        kept = storage.read_checkpoint(out / "ckpt_lastgood.okpf")
+        assert np.all(np.isfinite(kept.u.values)) and np.all(np.isfinite(kept.v.values))
+        traced = storage.read_trace(out / "trace.csv")["step"]
+        assert kept.step == traced[-1] + 1 == 5
+        assert capsys.readouterr().err == f"divergence: energy overflowed at step {kept.step}\n"
+        # the state five steps from the run's input, bit for bit
+        cfg = storage.load_config(path)
+        stepper = dynamics._Stepper(_initial_state(cfg), cfg.params, cfg.stepper)
+        with np.errstate(all="ignore"):
+            for _ in range(5):
+                stepper.advance()
+        assert np.array_equal(kept.u.values, stepper.u) and np.array_equal(kept.v.values, stepper.v)
+
+    def test_a_failed_last_good_write_still_exits_as_divergence(self, tmp_path, capsys):
+        path = _overflow_repro(tmp_path)
+        (tmp_path / "out" / "ckpt_lastgood.okpf").mkdir(parents=True)  # no file can replace it
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path)]) == 2
+        io_error, divergence = capsys.readouterr().err.splitlines()
+        assert io_error.startswith("io error: ") and "ckpt_lastgood.okpf" in io_error
+        assert divergence == "divergence: energy overflowed at step 5"
+        assert (tmp_path / "out" / "ckpt_lastgood.okpf").is_dir()
+        assert not list((tmp_path / "out").glob("*.tmp"))
 
     def test_divergence_prints_only_its_message(self, tmp_path, capsys):
         # numpy's RuntimeWarnings as errors and no errstate of the test's own

@@ -222,18 +222,21 @@ def _noisy_shell(grid, interpolant):
 class TestWorkspaceStepper:
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
     @pytest.mark.parametrize("points,lengths", [((32, 32), (2.0, 2.0)),
-                                                ((16, 16, 16), (2.0, 2.0, 2.0))])
+                                                ((16, 16, 16), (2.0, 2.0, 2.0)),
+                                                ((64, 64, 64), (2.0, 2.0, 2.0))])
     def test_matches_eight_fft_oracle(self, points, lengths, interpolant):
         grid = pk.GridSpec(points, lengths)
         state, params = _noisy_shell(grid, interpolant)
-        stepper = _Stepper(state, params, CFG)
         old = (state.u.values, state.v.values)
-        for _ in range(50):
-            before = stepper.u.copy(), stepper.v.copy()
-            change = stepper.advance()
-            assert change == max(np.max(np.abs(after - prev))
-                                 for after, prev in zip((stepper.u, stepper.v), before))
-            old = _oracle_advance(grid, params, CFG, *old)
+        with _Workers(grid, two=grid == GRID64) as workers:  # 64^3 on two workers
+            stepper = _Stepper(state, params, CFG, workers)
+            for _ in range(50):
+                before = stepper.u.copy(), stepper.v.copy()
+                change = stepper.advance()
+                assert change == max(np.max(np.abs(after - prev))
+                                     for after, prev in zip((stepper.u, stepper.v), before))
+                old = _oracle_advance(grid, params, CFG, *old)
+            assert (workers._helper is not None) == (grid == GRID64)
         new = stepper.u, stepper.v
         assert np.all(np.isfinite(new[0])) and np.all(np.isfinite(new[1]))
         assert np.max(np.abs(new[0] - state.u.values)) > 1e-6  # the state moved
@@ -340,6 +343,32 @@ class TestWorkspaceStepper:
         assert err.value.step == 13
         assert len(steps) == 3
 
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_divergence_keeps_the_state_before_the_step(self, monkeypatch, phase):
+        _poison_third_step(monkeypatch, phase, (3, 5))
+        base = _liposome_state()
+        state = pk.RunState(u=base.u, v=base.v, time=10 * CFG.dt, step=10)
+        cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=8, stop_tol=np.inf)
+        with pytest.raises(DivergenceError) as err:
+            pk.run(state, PARAMS, cfg)
+        kept = err.value.state
+        clean = pk.run(state, PARAMS, replace(cfg, max_steps=2)).state  # the poison is spent
+        assert kept.step == clean.step == 12 and kept.time == clean.time
+        assert np.array_equal(kept.u.values, clean.u.values)
+        assert np.array_equal(kept.v.values, clean.v.values)
+
+    def test_divergence_of_the_first_step_keeps_the_input(self, monkeypatch):
+        _poison_third_step(monkeypatch, 0, (3, 5))
+        base = _liposome_state()
+        cfg = pk.StepperConfig(L1=1.0, L2=5.0, dt=1.25e-4, max_steps=1, stop_tol=np.inf)
+        for _ in range(2):
+            pk.run(base, PARAMS, cfg)  # the first two solves of u
+        with pytest.raises(DivergenceError) as err:
+            pk.run(base, PARAMS, cfg)
+        assert err.value.step == 1
+        assert err.value.state.u.values is base.u.values
+        assert err.value.state.v.values is base.v.values
+
 
 def _poison_third_step(monkeypatch, phase, index):
     """Sets sample ``index`` of u+ (``phase`` 0) or v+ (1) to NaN inside the
@@ -367,15 +396,18 @@ def _poison_third_step(monkeypatch, phase, index):
     return steps
 
 
-def _whole_array_force(grid, params, u, v):
-    """(F_u, F_v) by the fused operations of ``ExplicitForce``, each over
-    whole fields: the reference that its slab passes must match bit for bit."""
+def _whole_array_force(grid, params, lam, u, v):
+    """(u - lam_u F_u, v - lam_v F_v) by the fused operations of
+    ``ExplicitForce``, each over whole fields: the reference that its slab
+    passes must match bit for bit."""
     p, eps, zeta = params, params.epsilon, params.zeta
+    lam_u, lam_v = lam
+    cubic = p.interpolant == "cubic"
     s_u, s_v, phi = (np.empty(grid.shape) for _ in range(3))
     out_u, out_v = np.empty(grid.shape), np.empty(grid.shape)
     np.multiply(u, u, out=s_u)
     np.subtract(u, s_u, out=s_u)
-    if p.interpolant == "cubic":
+    if cubic:
         np.multiply(v, v, out=s_v)
         np.subtract(v, s_v, out=s_v)
         fu, fv = out_u, out_v
@@ -391,32 +423,35 @@ def _whole_array_force(grid, params, u, v):
     np.divide(fv, zeta, out=phi)
     np.subtract(fu, phi, out=phi)
     apply_multiplier(grid, phi, _inv_k_squared(grid), out=phi)
-    np.multiply(phi, slope * p.gamma, out=out_u)
-    out_u -= slope * p.K1 * (p.mass - mass_u)
-    np.multiply(phi, -slope * p.gamma / zeta, out=out_v)
-    out_v -= slope * p.K2 * (zeta * p.mass - mass_v)
-    if p.interpolant == "cubic":
-        out_u *= s_u
+    np.multiply(phi, -lam_u * slope * p.gamma, out=out_u)
+    out_u += lam_u * slope * p.K1 * (p.mass - mass_u) - (36.0 * lam_u / eps if cubic else 0.0)
+    np.multiply(phi, lam_v * slope * p.gamma / zeta, out=out_v)
+    out_v += lam_v * slope * p.K2 * (zeta * p.mass - mass_v)
+    if cubic:
         out_v *= s_v
-    overlap, tmp = phi, s_v
+    tmp = s_v
+    np.multiply(u, 72.0 * lam_u / eps, out=tmp)
+    if cubic:
+        out_u += tmp
+        out_u *= s_u
+    else:
+        tmp -= 36.0 * lam_u / eps
+        tmp *= s_u
+        out_u += tmp
+    np.multiply(u, 1.0 + lam_u * A_UU / eps, out=tmp)
+    out_u += tmp
+    overlap = phi
     np.add(u, v, out=overlap)
     overlap -= 1.0
     np.maximum(overlap, 0.0, out=overlap)
     np.clip(v, 0.0, 1.0, out=tmp)
     np.subtract(overlap, tmp, out=tmp)
-    tmp *= 27.0 / eps
+    tmp *= -27.0 * lam_v / eps
     out_v += tmp
-    np.multiply(v, (27.0 - A_VV) / eps, out=tmp)
+    np.multiply(v, 1.0 + (A_VV - 27.0) * lam_v / eps, out=tmp)
     out_v += tmp
-    np.multiply(u, -2.0, out=tmp)
-    tmp += 1.0
-    tmp *= s_u
-    tmp *= 36.0 / eps
-    out_u += tmp
-    overlap *= 27.0 / eps
+    overlap *= -27.0 * lam_u / eps
     out_u += overlap
-    np.multiply(u, A_UU / eps, out=tmp)
-    out_u -= tmp
     return out_u, out_v
 
 
@@ -507,18 +542,22 @@ class TestTwoWorkers:
     def test_force_and_derivatives_are_bitwise_the_whole_array_force(self, interpolant):
         state, params = _noisy_shell(GRID64, interpolant)
         u, v = state.u.values, state.v.values
-        reference = _whole_array_force(GRID64, params, u, v)
-        force = ExplicitForce(GRID64, params)
-        for two in (False, True):
-            out = (np.empty(GRID64.shape), np.empty(GRID64.shape))
-            with _Workers(GRID64, two) as workers:
-                force(u, v, *out, workers)
-            assert np.array_equal(out[0], reference[0]) and np.array_equal(out[1], reference[1])
+        for lam in ((CFG.dt * CFG.L1, CFG.dt * CFG.L2), (-1.0, -1.0)):
+            reference = _whole_array_force(GRID64, params, lam, u, v)
+            force = ExplicitForce(GRID64, params, lam)
+            for two in (False, True):
+                out = (np.empty(GRID64.shape), np.empty(GRID64.shape))
+                with _Workers(GRID64, two) as workers:
+                    force(u, v, *out, workers)
+                assert np.array_equal(out[0], reference[0])
+                assert np.array_equal(out[1], reference[1])
+        # lam = (-1, -1) gives z + F; the derivatives add the rest back
         du, dv = pk.energy.variational_derivatives(state.u, state.v, params)
         lap_u, lap_v = pk.laplacian(state.u).values, pk.laplacian(state.v).values
         eps = params.epsilon
-        assert np.array_equal(du.values, reference[0] + (A_UU / eps * u - eps * lap_u))
-        assert np.array_equal(dv.values, reference[1] + (A_VV / eps * v - 2.0 * params.v_reg * lap_v))
+        assert np.array_equal(du.values, reference[0] + ((A_UU / eps - 1.0) * u - eps * lap_u))
+        assert np.array_equal(
+            dv.values, reference[1] + ((A_VV / eps - 1.0) * v - 2.0 * params.v_reg * lap_v))
 
     @pytest.mark.parametrize("count", [1, 2], ids=["inline", "two-workers"])
     def test_nan_in_the_last_slab_raises_at_its_step(self, monkeypatch, cpus, count):

@@ -305,6 +305,20 @@ class TestEnergyKernel:
         assert perimeter == pytest.approx(0.5 * eps * pk.dirichlet_energy(u) + oracle,
                                           rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["2d", "3d"])
+    def test_no_sum_goes_to_blas(self, rng, monkeypatch, grid):
+        # vdot and dot run on BLAS's own threads, which compete with the helper's
+        params = _params("cubic")
+        u, v = _random_pair(rng, grid, lo=-0.3, hi=1.3)
+        expected = pk.total_energy(u, v, params)
+
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS called")
+
+        monkeypatch.setattr(np, "vdot", blas)
+        monkeypatch.setattr(np, "dot", blas)
+        assert pk.total_energy(u, v, params) == expected
+
     @pytest.mark.parametrize("interpolant", ["cubic", "identity"])
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["2d", "3d"])
     def test_dirichlet_terms(self, rng, grid, interpolant):
