@@ -123,14 +123,15 @@ def zero_dipole_shift(w: Field, tol: float = 1e-10) -> tuple[float, ...]:
     Requires int w = 0 (within tol * int|w|). The first moment along each
     axis depends only on that axis' shift, so each component is solved
     independently: bracket a sign change of the moment over the grid shifts,
-    then find its root with Brent's method on sub-cell Fourier phase shifts.
-    Moments use box-centered coordinates. An axis whose moment is zero to
-    roundoff at shift 0, or at every grid shift, keeps shift 0; a moment with
-    no sign change over the grid shifts raises ValueError.
+    then find its root with Brent's method (``_solvers.brentq``) on sub-cell
+    Fourier phase shifts. Moments use box-centered coordinates. An axis whose
+    moment is zero to roundoff at shift 0, or at every grid shift, keeps
+    shift 0; a moment with no sign change over the grid shifts raises
+    ValueError.
     """
-    # imported here, not at module level: scipy.optimize is most of the cost
-    # of `import pacok`, and stepping never calls it
-    from scipy.optimize import brentq
+    # imported here, not at module level: stepping never solves, so
+    # `import pacok` and `pacok run` need not compile the solver module
+    from ._solvers import brentq
 
     grid = w.grid
     total = abs(integrate_array(grid, w.values))

@@ -34,7 +34,8 @@ definition, :func:`_stationarity`, which the free solve, the equal-mass
 search and :func:`stationarity_residual` all read. The free solve is
 MINPACK's hybrid method in (log R0, log(R1 - R0)); it converges at
 zeta = gamma = 1 up to m = 1e9 in 2-D and in 3-D, and at gamma = 1500 in
-2-D up to m = 1e9.
+2-D up to m = 1e9. It and the Brent searches run on the ports in
+:mod:`pacok._solvers`, which return scipy.optimize's results.
 """
 
 from __future__ import annotations
@@ -372,11 +373,11 @@ def _optimize_equal_mass(m, zeta, gamma, n):
     dE/dpivot is _ball_coef(n) times it, a positive factor that moves neither
     its sign nor its root. The bracket starts just above the feasibility
     floor, where R0 = 0, and doubles until the gradient turns positive;
-    Brent's method then finds its zero.
+    Brent's method (``_solvers.brentq``) then finds its zero.
     """
-    # imported here, not at module level: scipy.optimize (with scipy.linalg)
-    # is most of the cost of `import pacok`, and stepping never calls it
-    from scipy.optimize import brentq
+    # imported here, not at module level: stepping never solves, so
+    # `import pacok` and `pacok run` need not compile the solver module
+    from ._solvers import brentq
 
     content = mass_content(m, n)
 
@@ -402,18 +403,19 @@ def _optimize_equal_mass(m, zeta, gamma, n):
 def _solve_free(m, zeta, gamma, n):
     """Radii at which the stationarity conditions (phi(R0), B) vanish.
 
-    MINPACK's hybrid method solves them in y = (log R0, log(R1 - R0)), so
-    R0 > 0 and R1 > R0 hold at every iterate and the forward-difference steps
-    are relative to R0 and to the inner V thickness, which is far below R0 at
-    large mass. It starts from the asymptotic series or, when that guess is
-    infeasible, from :func:`_coarse_search`.
+    MINPACK's hybrid method (``_solvers.hybrd2``) solves them in
+    y = (log R0, log(R1 - R0)), so R0 > 0 and R1 > R0 hold at every iterate
+    and the forward-difference steps are relative to R0 and to the inner V
+    thickness, which is far below R0 at large mass. It starts from the
+    asymptotic series or, when that guess is infeasible, from
+    :func:`_coarse_search`.
     """
-    from scipy.optimize import root  # see _optimize_equal_mass
+    from ._solvers import hybrd2  # see _optimize_equal_mass
 
     content = mass_content(m, n)
 
-    def conditions(y):
-        r0, inner = math.exp(y[0]), math.exp(y[1])
+    def conditions(y0, y1):
+        r0, inner = math.exp(y0), math.exp(y1)
         if _pow_step(r0, inner, n) >= zeta * content:
             return math.inf, math.inf  # the outer V layer would be empty
         r1 = r0 + inner
@@ -421,12 +423,9 @@ def _solve_free(m, zeta, gamma, n):
 
     r0, r1 = asymptotic_initial_radii(m, zeta, gamma, n) or _coarse_search(m, zeta, gamma, n)
     try:
-        # factor 0.1: with the default first-step bound (100) small liposomes
-        # run into the evaluation limit
-        y = root(conditions, [math.log(r0), math.log(r1 - r0)], method="hybr",
-                 options={"xtol": 1e-14, "factor": 0.1}).x
-        r0 = math.exp(y[0])
-        return liposome_candidate(m, zeta, n, r0, r0 + math.exp(y[1]))
+        y0, y1 = hybrd2(conditions, math.log(r0), math.log(r1 - r0))
+        r0 = math.exp(y0)
+        return liposome_candidate(m, zeta, n, r0, r0 + math.exp(y1))
     except (OverflowError, InvalidCandidateError) as exc:
         raise OptimizationError(f"hybrid method left the liposome family: {exc}") from exc
 
@@ -479,28 +478,31 @@ def asymptotic_liposome(
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     zp1 = zeta + 1.0
+    # no divisor multiplies gamma (zeta+1) by m or raises it to an integer
+    # power: those under- or overflow to 0 or inf long before gamma and m do;
+    # gamma (zeta+1) itself cannot underflow because zeta+1 >= 1
     thickness = (3.0 / (gamma * zp1)) ** (1.0 / 3.0)
     leading = branch_bilayer(zeta) * gamma ** (1.0 / 3.0)
     if n == 2:
         mid = m / _FOUR_PI * (gamma * zp1 / 3.0) ** (1.0 / 3.0)
-        vshift = _TWO_PI * zeta * (zeta + 2.0) / (gamma * m * zp1)
+        vshift = _TWO_PI * zeta * (zeta + 2.0) / (gamma * zp1) / m
         if equal_mass:
             epm = leading + 24.0 * math.pi**2 * (2.0 * zeta**2 + 8.0 * zeta + 7.0) / (
-                5.0 * gamma * zp1 * m * m
-            )
+                5.0 * gamma * zp1
+            ) / m / m
             vshift *= 3.0
             imbalance = 0.0
         else:
             epm = leading + 1.6 * math.pi**2 * (zeta**2 + 4.0 * zeta + 1.0) / (
-                gamma * zp1 * m * m
-            )
-            imbalance = 4.0 * zeta * (zeta + 2.0) / (3.0 * (gamma * zp1) ** 2) ** (1.0 / 3.0)
+                gamma * zp1
+            ) / m / m
+            imbalance = 4.0 * zeta * (zeta + 2.0) / (3.0 ** (1.0 / 3.0) * (gamma * zp1) ** (2.0 / 3.0))
         order = "O(m^-3)"
     else:
         mid = math.sqrt(m / (8.0 * math.pi)) * (gamma * zp1 / 3.0) ** (1.0 / 6.0)
         vshift = (
             zeta * (zeta + 2.0) * math.sqrt(8.0 * math.pi / m)
-            / (3.0 * (gamma * zp1) ** 5) ** (1.0 / 6.0)
+            / (3.0 ** (1.0 / 6.0) * (gamma * zp1) ** (5.0 / 6.0))
         )
         if equal_mass:
             epm = leading + _FOUR_PI / (5.0 * m) * (7.0 * zeta**2 + 28.0 * zeta + 32.0) / (
@@ -563,8 +565,8 @@ class MorphologyBranches:
 
 @lru_cache(maxsize=1)
 def thresholds() -> MorphologyBranches:
-    """Transition values of zeta, roots of their defining equations (Brent's method)."""
-    from scipy.optimize import brentq  # see _optimize_equal_mass
+    """Transition values of zeta, roots of their defining equations (``_solvers.brentq``)."""
+    from ._solvers import brentq  # see _optimize_equal_mass
 
     rtol = 4.0 * np.finfo(float).eps
     zeta1 = brentq(_zeta1_equation, 1.5, 2.2, xtol=1e-300, rtol=rtol)

@@ -194,6 +194,44 @@ class TestModule:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("zeta0 ")
 
+    def test_no_command_imports_scipy(self, run_config, tmp_path):
+        # scipy.optimize is the tests' oracle for the solvers, not a dependency
+        path, _ = run_config
+        final = str(tmp_path / "out" / "ckpt_final.okpf")
+        grid = pk.GridSpec((8, 8, 8), (1.0, 1.0, 1.0))
+        rng = np.random.default_rng(0)
+        cube = tmp_path / "cube.okpf"
+        storage.write_checkpoint(cube, pk.RunState(u=pk.Field(grid, rng.uniform(0, 1, grid.shape)),
+                                                   v=pk.Field(grid, rng.uniform(0, 1, grid.shape))))
+        traces = []
+        for i, (mass, ratio) in enumerate([(1.0, 10.7), (2.0, 10.5), (4.0, 10.45)]):
+            traces.append(str(tmp_path / f"t{i}.csv"))
+            storage.append_trace(traces[-1], 5, 0.1, pk.EnergyBreakdown.assemble(
+                mass * ratio, 0.0, 0.0, 0.0, gamma=1.0), (mass, mass), 1.0)
+        radial = ["radial", "--n", "3", "--zeta", "1", "--gamma", "500", "--m", "2.4"]
+        commands = [
+            ["run", "--config", str(path)],
+            ["energy", "--config", str(path), "--checkpoint", final],
+            ["dipole", "--config", str(path), "--checkpoint", final,
+             "--out", str(tmp_path / "moved.okpf")],
+            ["render", "--checkpoint", final, "--out", str(tmp_path / "plane.png")],
+            ["render", "--checkpoint", str(cube), "--out", str(tmp_path / "cube.png"), "--stack"],
+            radial, [*radial, "--asymptotic"], [*radial, "--equal-mass"],
+            ["roots", "--table", "0.5", "3.5", "40"],
+            ["fit", "--from-traces", *traces],
+        ]
+        code = ("import json, sys\nfrom pacok.cli import main\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands), done.stderr
+        assert loaded == []
+
 
 class TestRender:
     def test_2d_image_is_the_phase_colors(self, tmp_path, capsys):
@@ -361,6 +399,26 @@ class TestRadial:
     def test_infeasible_exits_one(self, capsys):
         assert main(["radial", "--n", "3", "--zeta", "1", "--gamma", "1",
                      "--m", "100"]) == 1
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_tiny_gamma_refuses_in_one_line(self, capsys, n):
+        # the optimizer reads its starting radii from the series, whose powers
+        # of gamma (zeta+1) must not underflow to a zero divisor
+        assert main(["radial", "--n", n, "--zeta", "1", "--gamma", "1e-200", "--m", "2.4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("gamma,m,finite", [("1e-200", "2.4", True), ("1e200", "2.4", True),
+                                                ("1e-300", "1e-30", False)])
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_extreme_gamma_series(self, capsys, n, gamma, m, finite):
+        # at gamma m^2 ~ 1e-360 the 2-D E/m term is inf, but no divisor is 0
+        assert main(["radial", "--n", n, "--zeta", "1", "--gamma", gamma, "--m", m,
+                     "--asymptotic"]) == 0
+        values = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(values) == 7 and not any(math.isnan(v) for v in values)
+        assert all(math.isfinite(v) and v != 0.0 for v in values) or not finite
 
     @pytest.mark.parametrize("mode", [[], ["--asymptotic"], ["--equal-mass"]])
     @pytest.mark.parametrize("value", ["nan", "inf"])

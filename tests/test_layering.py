@@ -10,7 +10,9 @@ stepper owns the one helper thread a step may use, and ``import pacok``
 leaves the thread pool's module unimported, so that a run that takes no
 step pays nothing for it. Outside energy.py only the stepper's methods
 touch the force's workspace, and grid.py, which describes geometry, holds
-no slab or thread policy.
+no slab or thread policy. No module imports scipy: the radial and dipole
+solvers are ported into ``_solvers.py``, and numpy is the one runtime
+dependency.
 
 Guards for deletions and renames ride along: no module imports a name it
 never uses, every ``pk.<name>...`` chain that the benchmark's workloads call
@@ -113,18 +115,24 @@ def tracer_targets(tree: ast.Module) -> set[str]:
 CONCURRENCY_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
 
 
-def concurrency_imports(tree: ast.Module) -> set[str]:
-    """Modules of :data:`CONCURRENCY_MODULES` (or their submodules) that the
-    module imports, at any depth of its code."""
+def imported_modules(tree: ast.Module, packages: set[str]) -> set[str]:
+    """Modules of ``packages`` (or their submodules) that the module imports,
+    at any depth of its code: by ``import``, by ``from ... import``, or by
+    ``importlib.import_module`` or ``__import__`` of a literal name."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module is not None and node.level == 0:
             modules = [node.module]
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and (isinstance(node.func, ast.Name) and node.func.id == "__import__"
+                   or isinstance(node.func, ast.Attribute) and node.func.attr == "import_module")):
+            modules = [node.args[0].value]
         else:
             continue
-        names.update(name for name in modules if name.split(".")[0] in CONCURRENCY_MODULES)
+        names.update(name for name in modules if name.split(".")[0] in packages)
     return names
 
 
@@ -226,15 +234,31 @@ def test_reshape_detector_sees_a_half_spectrum_view():
 
 @pytest.mark.parametrize("name", [name for name in MODULES if name != "dynamics.py"])
 def test_only_dynamics_creates_threads(name):
-    assert concurrency_imports(ast.parse((SRC / name).read_text())) == set()
+    assert imported_modules(ast.parse((SRC / name).read_text()), CONCURRENCY_MODULES) == set()
 
 
 def test_concurrency_import_detector_sees_each_form():
     source = ("import threading\nimport concurrent.futures as cf\nfrom multiprocessing import Pool\n"
               "def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
               "import numpy.threading_free\nfrom . import threading_helpers\n")
-    assert concurrency_imports(ast.parse(source)) == {
+    assert imported_modules(ast.parse(source), CONCURRENCY_MODULES) == {
         "threading", "concurrent.futures", "multiprocessing"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_scipy(name):
+    # the solvers are ported (pacok._solvers); scipy is the tests' oracle
+    assert imported_modules(ast.parse((SRC / name).read_text()), {"scipy"}) == set()
+
+
+def test_scipy_import_detector_sees_each_form():
+    source = ("import scipy\nimport scipy.linalg as sl\nfrom scipy import optimize\n"
+              "def f():\n    from scipy.optimize import brentq\n"
+              "    return importlib.import_module('scipy.special'), __import__('scipy.fft')\n"
+              "import scipyx\nfrom . import scipy_free\nimportlib.import_module(name)\n"
+              "'scipy'.join(parts)\n")
+    assert imported_modules(ast.parse(source), {"scipy"}) == {
+        "scipy", "scipy.linalg", "scipy.optimize", "scipy.special", "scipy.fft"}
 
 
 @pytest.mark.parametrize("name", [name for name in MODULES if name != "dynamics.py"])

@@ -408,9 +408,11 @@ def test_entry_points_refuse_non_finite_and_nonpositive(name, call, value):
 
 
 def test_import_defers_scipy_optimize():
-    # stepping never calls scipy.optimize; only the radial and dipole solvers
-    # import it, so neither the package nor the CLI that `pacok run` loads does
-    code = "import sys, pacok, pacok.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+    # stepping never solves; the radial and dipole solvers import their
+    # module (pacok._solvers, which needs no scipy) when they run, so neither
+    # the package nor the CLI that `pacok run` loads compiles it
+    code = ("import sys, pacok, pacok.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', "
+            "'pacok._solvers') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(pk.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
